@@ -47,24 +47,36 @@ def save_records(path, records: dict[str, np.ndarray], cfg_hash: int,
             fh.write(arr.tobytes())
 
 
+def _read_exact(fh, n_bytes: int) -> bytes:
+    data = fh.read(n_bytes)
+    if len(data) != n_bytes:
+        raise CheckpointError(f"truncated checkpoint: needs {n_bytes} more bytes, "
+                              f"found {len(data)}")
+    return data
+
+
+def _unpack(fh, fmt: str) -> tuple:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
 def load_records(path) -> tuple[dict[str, np.ndarray], int, str, int]:
     """Returns (records, config hash, optimizer kind, optimizer state version)."""
     with open(path, "rb") as fh:
-        magic, version, cfg_hash = struct.unpack("<4sIQ", fh.read(16))
+        magic, version, cfg_hash = _unpack(fh, "<4sIQ")
         if magic != MAGIC:
             raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        (kind_len,) = struct.unpack("<I", fh.read(4))
-        kind = fh.read(kind_len).decode()
-        opt_version, count = struct.unpack("<II", fh.read(8))
+        (kind_len,) = _unpack(fh, "<I")
+        kind = _read_exact(fh, kind_len).decode()
+        opt_version, count = _unpack(fh, "<II")
         records: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+            (name_len,) = _unpack(fh, "<I")
+            name = _read_exact(fh, name_len).decode()
+            (ndim,) = _unpack(fh, "<I")
+            shape = tuple(_unpack(fh, "<Q")[0] for _ in range(ndim))
             n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n_items)).reshape(shape).copy()
+            data = np.frombuffer(_read_exact(fh, 8 * n_items)).reshape(shape).copy()
             records[name] = data
         return records, cfg_hash, kind, opt_version

@@ -113,42 +113,19 @@ def availability_mask(grid: GridSpec, n_steps: int) -> np.ndarray:
     return mask
 
 
-def instrument_returns(spot: np.ndarray, variance: np.ndarray, grid: GridSpec,
-                       pricer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost-free terminal returns and premiums for one path.
-
-    Column 0 is the underlying: x_T - x_t. Option column i is the payoff
-    at t + tau_i minus the premium paid at t, holding to maturity; masked
-    entries are zero. Returns (returns, premiums, mask), each (T, d).
-    """
-    n_steps = len(spot) - 1
-    mask = availability_mask(grid, n_steps)
-    returns = np.zeros((n_steps, grid.d))
-    premiums = np.zeros((n_steps, grid.d))
-    returns[:, 0] = spot[n_steps] - spot[:n_steps]
-    for i, opt in enumerate(grid.entries):
-        for t in range(n_steps):
-            if mask[t, i + 1] == 0.0:
-                continue
-            x_t = spot[t]
-            strike = x_t * np.exp(opt.log_moneyness)
-            if opt.is_call:
-                prem = pricer.call_price(x_t, variance[t], opt.tau_steps, strike)
-                payoff = max(spot[t + opt.tau_steps] - strike, 0.0)
-            else:
-                prem = pricer.put_price(x_t, variance[t], opt.tau_steps, strike)
-                payoff = max(strike - spot[t + opt.tau_steps], 0.0)
-            premiums[t, i + 1] = prem
-            returns[t, i + 1] = payoff - prem
-    return returns, premiums, mask
-
-
 def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized instrument returns over a PathSet.
 
-    Premiums use the unit-spot price scaled by the current spot (the
-    Heston price is homogeneous of degree one in spot and strike).
-    Returns (returns, premiums, mask) of shapes (n, T, d), (n, T, d), (T, d).
+    ``pricer`` is the grid's :class:`~deephedge.market.CachedGridPricer`.
+    One all-contract call prices every grid option at every live step
+    from one shared Chebyshev basis per variance, writing the unit-spot
+    prices straight into the premium array: the basis is built once, not
+    once per contract, and no (n, T, C) temporary sits beside premiums
+    and returns. Premiums then scale the unit-spot price by the current
+    spot (the Heston price is homogeneous of degree one in spot and
+    strike), contract by contract over slabs of paths, and entries past a
+    contract's last tradable step are reset to exactly zero. Returns
+    (returns, premiums, mask) of shapes (n, T, d), (n, T, d), (T, d).
     """
     spot, variance = paths.spot, paths.variance
     n, n_steps = spot.shape[0], spot.shape[1] - 1
@@ -156,21 +133,30 @@ def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray,
     returns = np.zeros((n, n_steps, grid.d))
     premiums = np.zeros((n, n_steps, grid.d))
     returns[:, :, 0] = spot[:, [n_steps]] - spot[:, :n_steps]
-    for i, opt in enumerate(grid.entries):
-        live = int(mask[:, i + 1].sum())
-        x_t = spot[:, :live]
-        v_t = variance[:, :live]
-        unit = pricer.unit_price(v_t.ravel(), opt.tau_steps, opt.log_moneyness,
-                                 opt.is_call).reshape(n, live)
-        prem = x_t * unit
-        strike = x_t * np.exp(opt.log_moneyness)
-        x_at_maturity = spot[:, opt.tau_steps:opt.tau_steps + live]
-        if opt.is_call:
-            payoff = np.maximum(x_at_maturity - strike, 0.0)
-        else:
-            payoff = np.maximum(strike - x_at_maturity, 0.0)
-        premiums[:, :live, i + 1] = prem
-        returns[:, :live, i + 1] = payoff - prem
+    live_steps = mask[:, 1:].sum(axis=0).astype(int)
+    max_live = int(live_steps.max(initial=0))
+    pricer.unit_prices(variance[:, :max_live],
+                       [(o.tau_steps, o.log_moneyness, o.is_call) for o in grid.entries],
+                       out=premiums[:, :max_live, 1:])
+    # One contract fills a strided column, touching a cache line per entry.
+    # Slabs of paths of about 1 MB per array keep those lines cached from
+    # one contract to the next.
+    slab = max(1, (1 << 20) // (8 * n_steps * grid.d))
+    for r0 in range(0, n, slab):
+        rows = slice(r0, r0 + slab)
+        for i, opt in enumerate(grid.entries):
+            live = int(live_steps[i])
+            x_t = spot[rows, :live]
+            prem = premiums[rows, :live, i + 1]
+            prem *= x_t
+            premiums[rows, live:max_live, i + 1] = 0.0
+            strike = x_t * np.exp(opt.log_moneyness)
+            x_at_maturity = spot[rows, opt.tau_steps:opt.tau_steps + live]
+            if opt.is_call:
+                payoff = np.maximum(x_at_maturity - strike, 0.0)
+            else:
+                payoff = np.maximum(strike - x_at_maturity, 0.0)
+            returns[rows, :live, i + 1] = payoff - prem
     return returns, premiums, mask
 
 
@@ -258,24 +244,6 @@ def feature_tensor(paths, spec: CliquetSpec) -> np.ndarray:
     feats[:, :, 4] = variance[:, :n_steps]
     feats[:, :, 5] = running_cliquet_batch(spot, spec)
     return feats
-
-
-@dataclass
-class EpisodeTensor:
-    """Per-path, per-step hedging data; actions filled in by a rollout."""
-
-    actions: np.ndarray      # (n, T, d)
-    returns: np.ndarray      # (n, T, d)
-    premiums: np.ndarray     # (n, T, d)
-    mask: np.ndarray         # (T, d), identical across paths
-    payoff: np.ndarray       # (n,)
-
-    def __post_init__(self):
-        off = self.mask == 0.0
-        if np.abs(self.returns[:, off]).max(initial=0.0) != 0.0:
-            raise ValueError("returns must be zero where the mask is zero")
-        if np.abs(self.actions[:, off]).max(initial=0.0) != 0.0:
-            raise ValueError("actions must be zero where the mask is zero")
 
 
 def hedged_pnl(actions: np.ndarray, returns: np.ndarray, payoff: np.ndarray,

@@ -5,6 +5,12 @@ cliquet, costs, policy, both optimizer settings, data sizes, and the
 training schedule. All randomness derives from the single root seed
 through tagged streams, so a config determines its datasets, its
 initialization, and its optimization trajectory bit for bit.
+
+The policy's matrix products are small, so threaded BLAS loses more to
+synchronization than it gains. The BLAS thread count cannot be changed
+once numpy has loaded; set it in the environment before start-up, e.g.
+``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does for each of its
+worker processes.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -306,16 +311,6 @@ class TrainResult:
     target_iteration: int | None
 
 
-def _limit_blas_threads():
-    # The unroll's matrix products are small; threaded BLAS loses more to
-    # synchronization than it gains. Applied once, process wide.
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(1)
-    except Exception:  # pragma: no cover
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-
 def _train_iteration_kfac(cfg, params, kfac, ds_train, idx, iteration):
     gamma, costs = cfg.risk_aversion, cfg.costs
     capture = kfac.wants_input_stats
@@ -378,7 +373,6 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
           train_paths: mk.PathSet | None = None,
           datasets: dict[str, Dataset] | None = None) -> TrainResult:
     """Run the configured optimizer; writes metrics, manifest, checkpoint."""
-    _limit_blas_threads()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if datasets is None:

@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 
 PATHSET_MAGIC = b"HPTH"
 PATHSET_VERSION = 1
+_PATHSET_HEADER = struct.Struct("<4sIQId6dQI")
 
 
 class MarketError(RuntimeError):
@@ -83,8 +84,7 @@ class PathSet:
 
     def save(self, path) -> None:
         p = self.params
-        header = struct.pack(
-            "<4sIQId6dQI",
+        header = _PATHSET_HEADER.pack(
             PATHSET_MAGIC, PATHSET_VERSION, self.n_paths, self.n_steps, self.dt,
             p.x0, p.v0, p.kappa, p.theta, p.xi, p.rho,
             self.seed, self.substeps,
@@ -97,16 +97,16 @@ class PathSet:
     @classmethod
     def load(cls, path) -> "PathSet":
         with open(path, "rb") as fh:
-            head = fh.read(struct.calcsize("<4sIQId6dQI"))
             magic, version, n_paths, n_steps, dt, x0, v0, kappa, theta, xi, rho, seed, substeps = \
-                struct.unpack("<4sIQId6dQI", head)
+                _PATHSET_HEADER.unpack(_read_exact(fh, _PATHSET_HEADER.size, "header"))
             if magic != PATHSET_MAGIC:
                 raise MarketError(f"not a path-set file: bad magic {magic!r}")
             if version != PATHSET_VERSION:
                 raise MarketError(f"unsupported path-set version {version}")
+            shape = (n_paths, n_steps + 1)
             count = n_paths * (n_steps + 1)
-            spot = np.frombuffer(fh.read(8 * count)).reshape(n_paths, n_steps + 1).copy()
-            variance = np.frombuffer(fh.read(8 * count)).reshape(n_paths, n_steps + 1).copy()
+            spot = np.frombuffer(_read_exact(fh, 8 * count, "spot")).reshape(shape).copy()
+            variance = np.frombuffer(_read_exact(fh, 8 * count, "variance")).reshape(shape).copy()
         params = HestonParams(x0=x0, v0=v0, kappa=kappa, theta=theta, xi=xi, rho=rho)
         return cls(spot=spot, variance=variance, dt=dt, substeps=substeps,
                    seed=seed, stream=0, params=params)
@@ -118,6 +118,14 @@ class PathSet:
             for p in range(self.n_paths):
                 for t in range(self.n_steps + 1):
                     fh.write(f"{p},{t},{float(self.spot[p, t])!r},{float(self.variance[p, t])!r}\n")
+
+
+def _read_exact(fh, n_bytes: int, what: str) -> bytes:
+    data = fh.read(n_bytes)
+    if len(data) != n_bytes:
+        raise MarketError(f"truncated path-set file: {what} needs {n_bytes} bytes, "
+                          f"found {len(data)}")
+    return data
 
 
 def _advance_substep(ln_x, v, params: HestonParams, delta: float, z: np.ndarray):
@@ -312,50 +320,109 @@ class HestonPricer:
         # Zero rates: P = C - x + K, exact by construction.
         return self.call_price(x, v, tau_steps, strike) - x + strike
 
-    def unit_price(self, v, tau_steps: int, k: float, is_call: bool) -> np.ndarray:
-        c = self.unit_call(v, tau_steps, k)
-        if is_call:
-            return c
-        return c - 1.0 + np.exp(k)
-
-
 class CachedGridPricer:
     """Chebyshev-accelerated pricer for a fixed set of (tau, k) contracts.
 
     The unit-spot price is an analytic function of the variance state, so
     a Chebyshev fit on [0, v_max] reproduces the quadrature price to
-    near machine precision at a fraction of the cost. Intended for bulk
-    premium precomputation over large path sets; the scalar interface
-    matches :class:`HestonPricer`.
+    near machine precision at a fraction of the cost. The fitted
+    coefficients form one (C, K+1) matrix in contract order.
+
+    Every evaluation goes through :meth:`unit_prices`, which prices any
+    subset of the contracts from one shared basis: per chunk of ``CHUNK``
+    variances it fills the (K+1, chunk) matrix of T_0..T_K with the
+    three-term recurrence, and a single GEMM against the coefficient rows
+    gives every contract's price. The basis depends only on the variance,
+    so this replaces C separate Clenshaw passes of degree K with one
+    recurrence and one matrix product, and keeps the working set at a few
+    MB whatever the number of variances. ``unit_call`` and ``unit_price``
+    are its one-contract case; the scalar interface matches
+    :class:`HestonPricer`.
     """
+
+    CHUNK = 4096  # variances per basis block: (K+1) x CHUNK float64, 4 MB at degree 120
 
     def __init__(self, pricer: HestonPricer, contracts, v_max: float, degree: int = 120):
         self.pricer = pricer
         self.v_max = float(v_max)
-        self._coef: dict[tuple[int, float], np.ndarray] = {}
-        for tau_steps, k in contracts:
+        self.contracts = tuple((int(tau), float(k)) for tau, k in contracts)
+        self._taus = np.array([tau for tau, _ in self.contracts], dtype=np.int64)
+        self._ks = np.array([k for _, k in self.contracts], dtype=np.float64)
+        coef = []
+        for tau_steps, k in self.contracts:
             # Interpolation at Chebyshev points is numerically stable at
             # high degree, unlike a least-squares fit.
             def g(y, _tau=tau_steps, _k=k):
                 v = 0.5 * self.v_max * (y + 1.0)
                 return pricer.unit_call(v, _tau, _k)
-            self._coef[(tau_steps, k)] = np.polynomial.chebyshev.chebinterpolate(g, degree)
+            coef.append(np.polynomial.chebyshev.chebinterpolate(g, degree))
+        self.coef = np.array(coef, dtype=np.float64).reshape(len(self.contracts), degree + 1)
+
+    def _row(self, tau_steps: int, k: float) -> int:
+        # A strike rebuilt as x * e^k gives back k only to within round-off.
+        hit = np.flatnonzero((self._taus == tau_steps) & (np.abs(self._ks - k) <= 1e-12))
+        if hit.size == 0:
+            raise KeyError(f"contract {(tau_steps, k)} not in cache")
+        return int(hit[0])
+
+    def unit_prices(self, v, contracts, out: np.ndarray | None = None) -> np.ndarray:
+        """Unit-spot prices of several cached contracts at every variance.
+
+        ``contracts`` is a sequence of (tau_steps, k, is_call); puts come
+        from parity, c - 1 + e^k. ``v`` is a scalar, vector or matrix, and
+        the result has shape ``v.shape + (len(contracts),)``. It is written
+        into ``out`` when given, which may be a strided view. A matrix is
+        processed in blocks of whole rows, so a block holds at most
+        max(CHUNK, row length) variances.
+        """
+        rows = [self._row(tau, k) for tau, k, _ in contracts]
+        coef = self.coef[rows]                           # (c, K+1)
+        put = np.array([not is_call for _, _, is_call in contracts], dtype=bool)
+        minus_one = np.where(put, 1.0, 0.0)[:, None]
+        plus_ek = np.where(put, np.exp(self._ks[rows]), 0.0)[:, None]
+
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim > 2:
+            raise ValueError("variance must be a scalar, vector or matrix")
+        if out is None:
+            out = np.empty(v.shape + (len(rows),))
+        v2 = v if v.ndim == 2 else v.reshape(-1, 1)
+        out2 = out if v.ndim == 2 else out.reshape(-1, 1, len(rows))
+        n_rows, width = v2.shape
+        if v2.size == 0 or not rows:
+            return out
+        block_rows = max(1, self.CHUNK // width)
+        basis = np.empty((coef.shape[1], block_rows * width))
+        prices = np.empty((len(rows), block_rows * width))
+        for r0 in range(0, n_rows, block_rows):
+            r1 = min(r0 + block_rows, n_rows)
+            m = (r1 - r0) * width
+            block = v2[r0:r1].reshape(-1)
+            # min/max propagate NaN, so a NaN variance fails the check too
+            if not (block.min() >= -1e-15 and block.max() <= self.v_max):
+                raise MarketError(f"variance outside cached range [0, {self.v_max}]")
+            b = basis[:, :m]                             # T_j(y) in row j
+            b[0] = 1.0
+            np.multiply(block, 2.0 / self.v_max, out=b[1])
+            b[1] -= 1.0
+            two_y = 2.0 * b[1]
+            for j in range(2, b.shape[0]):
+                np.multiply(two_y, b[j - 1], out=b[j])
+                b[j] -= b[j - 2]
+            # BLAS runs (c, K+1) @ (K+1, m) faster than (m, K+1) @ (K+1, c)
+            p = prices[:, :m]
+            np.matmul(coef, b, out=p)
+            p -= minus_one
+            p += plus_ek
+            out2[r0:r1] = p.reshape(-1, r1 - r0, width).transpose(1, 2, 0)
+        return out
 
     def unit_call(self, v, tau_steps: int, k: float) -> np.ndarray:
-        key = (tau_steps, k)
-        if key not in self._coef:
-            raise KeyError(f"contract {key} not in cache")
-        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-        if (v < -1e-15).any() or (v > self.v_max).any():
-            raise MarketError(f"variance outside cached range [0, {self.v_max}]")
-        y = 2.0 * v / self.v_max - 1.0
-        return np.polynomial.chebyshev.chebval(y, self._coef[key])
+        return self.unit_price(v, tau_steps, k, True)
 
     def unit_price(self, v, tau_steps: int, k: float, is_call: bool) -> np.ndarray:
-        c = self.unit_call(v, tau_steps, k)
-        if is_call:
-            return c
-        return c - 1.0 + np.exp(k)
+        v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+        return self.unit_prices(v, [(tau_steps, k, is_call)])[..., 0]
 
     def call_price(self, x: float, v: float, tau_steps: int, strike: float) -> float:
         k = np.log(strike / x)

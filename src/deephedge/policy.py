@@ -158,16 +158,3 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     return RolloutResult(tape=tape, action_nodes=action_nodes,
                          param_nodes=param_nodes, channels=channels)
 
-
-def rollout_episode(params: PolicyParams, paths, grid: ct.GridSpec,
-                    cliquet: ct.CliquetSpec, pricer, capture: bool = False,
-                    record: bool = True):
-    """Convenience wrapper: build features and returns from raw paths, then
-    unroll. Returns (RolloutResult, EpisodeTensor)."""
-    features = ct.feature_tensor(paths, cliquet)
-    returns, premiums, mask = ct.grid_returns(paths, grid, pricer)
-    result = rollout(params, features, mask, capture=capture, record=record)
-    episode = ct.EpisodeTensor(actions=result.actions, returns=returns,
-                               premiums=premiums, mask=mask,
-                               payoff=ct.cliquet_payoff_batch(paths.spot, cliquet))
-    return result, episode

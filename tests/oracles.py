@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from deephedge.contracts import GridSpec, availability_mask
+
 
 def central_diff_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of an array."""
@@ -83,3 +85,33 @@ def running_cliquet_bruteforce(spot: np.ndarray, cap: float, resets: list[int], 
             prev = r
     total += min(spot[t] / spot[prev] - 1.0, cap)
     return max(total, 0.0)
+
+
+def instrument_returns(spot: np.ndarray, variance: np.ndarray, grid: GridSpec,
+                       pricer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost-free terminal returns and premiums for one path.
+
+    Column 0 is the underlying: x_T - x_t. Option column i is the payoff
+    at t + tau_i minus the premium paid at t, holding to maturity; masked
+    entries are zero. Returns (returns, premiums, mask), each (T, d).
+    """
+    n_steps = len(spot) - 1
+    mask = availability_mask(grid, n_steps)
+    returns = np.zeros((n_steps, grid.d))
+    premiums = np.zeros((n_steps, grid.d))
+    returns[:, 0] = spot[n_steps] - spot[:n_steps]
+    for i, opt in enumerate(grid.entries):
+        for t in range(n_steps):
+            if mask[t, i + 1] == 0.0:
+                continue
+            x_t = spot[t]
+            strike = x_t * np.exp(opt.log_moneyness)
+            if opt.is_call:
+                prem = pricer.call_price(x_t, variance[t], opt.tau_steps, strike)
+                payoff = max(spot[t + opt.tau_steps] - strike, 0.0)
+            else:
+                prem = pricer.put_price(x_t, variance[t], opt.tau_steps, strike)
+                payoff = max(strike - spot[t + opt.tau_steps], 0.0)
+            premiums[t, i + 1] = prem
+            returns[t, i + 1] = payoff - prem
+    return returns, premiums, mask

@@ -3,10 +3,11 @@ import pytest
 
 from deephedge import contracts as ct
 from deephedge import diffcore as dc
-from deephedge.market import HestonParams, HestonPricer, simulate
+from deephedge.market import CachedGridPricer, HestonParams, HestonPricer, simulate
 from oracles import (
     central_diff_gradient,
     cliquet_payoff_bruteforce,
+    instrument_returns,
     running_cliquet_bruteforce,
 )
 
@@ -22,6 +23,14 @@ def pricer():
 @pytest.fixture(scope="module")
 def small_paths():
     return simulate(PAPER, 32, 20, DT, substeps=2, seed=21)
+
+
+@pytest.fixture(scope="module")
+def desk_cache(pricer, small_paths):
+    """The desk grid's Chebyshev pricer over the paths of ``small_paths``."""
+    v_max = float(small_paths.variance.max()) * 1.02 + 1e-6
+    contracts = [(o.tau_steps, o.log_moneyness) for o in ct.desk_grid().entries]
+    return CachedGridPricer(pricer, contracts, v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +68,7 @@ def test_flat_path_atm_put_return_is_minus_premium(pricer):
     grid = ct.GridSpec.from_ratio_map({5: [1.0]})
     spot = np.ones(11)
     variance = np.full(11, PAPER.v0)
-    returns, premiums, mask = ct.instrument_returns(spot, variance, grid, pricer)
+    returns, premiums, mask = instrument_returns(spot, variance, grid, pricer)
     prem = pricer.put_price(1.0, PAPER.v0, 5, 1.0)
     live = mask[:, 1] == 1.0
     assert np.allclose(returns[live, 1], -premiums[live, 1])
@@ -71,7 +80,7 @@ def test_spot_column_is_terminal_minus_current(small_paths, pricer):
     grid = ct.desk_grid()
     spot = small_paths.spot[0]
     variance = small_paths.variance[0]
-    returns, _, _ = ct.instrument_returns(spot, variance, grid, pricer)
+    returns, _, _ = instrument_returns(spot, variance, grid, pricer)
     assert returns[0, 0] == spot[-1] - spot[0]
     assert np.array_equal(returns[:, 0], spot[-1] - spot[:-1])
 
@@ -81,7 +90,7 @@ def test_returns_against_bruteforce_recomputation(pricer):
     paths = simulate(PAPER, 1, 130, DT, substeps=2, seed=77)
     spot, variance = paths.spot[0], paths.variance[0]
     grid = ct.full_grid()
-    returns, premiums, mask = ct.instrument_returns(spot, variance, grid, pricer)
+    returns, premiums, mask = instrument_returns(spot, variance, grid, pricer)
     for i, opt in enumerate(grid.entries):
         strike = spot[0] * np.exp(opt.log_moneyness)
         if opt.is_call:
@@ -94,20 +103,36 @@ def test_returns_against_bruteforce_recomputation(pricer):
         assert premiums[0, i + 1] == prem
 
 
-def test_grid_returns_matches_per_path_loop(small_paths, pricer):
+def test_grid_returns_matches_per_path_loop(small_paths, desk_cache):
     grid = ct.desk_grid()
-    batched_r, batched_p, mask = ct.grid_returns(small_paths, grid, pricer)
+    batched_r, batched_p, mask = ct.grid_returns(small_paths, grid, desk_cache)
     for p in (0, 7, 31):
-        r, prem, m = ct.instrument_returns(
-            small_paths.spot[p], small_paths.variance[p], grid, pricer)
+        r, prem, m = instrument_returns(
+            small_paths.spot[p], small_paths.variance[p], grid, desk_cache)
         assert np.array_equal(m, mask)
         assert np.allclose(batched_r[p], r, atol=1e-14)
         assert np.allclose(batched_p[p], prem, atol=1e-14)
 
 
-def test_masked_returns_are_zero(small_paths, pricer):
+def test_grid_returns_matches_per_path_loop_across_path_slabs(pricer):
+    # at T=130 on the full grid a slab holds 50 paths, so 101 paths span three
+    paths = simulate(PAPER, 101, 130, DT, substeps=2, seed=23)
+    grid = ct.full_grid()
+    v_max = float(paths.variance.max()) * 1.02 + 1e-6
+    cache = CachedGridPricer(pricer, [(o.tau_steps, o.log_moneyness) for o in grid.entries],
+                             v_max)
+    batched_r, batched_p, mask = ct.grid_returns(paths, grid, cache)
+    for p in (49, 50, 100):
+        r, prem, _ = instrument_returns(paths.spot[p], paths.variance[p], grid, cache)
+        assert np.allclose(batched_r[p], r, atol=1e-14)
+        assert np.allclose(batched_p[p], prem, atol=1e-14)
+    assert np.all(batched_r[:, mask == 0.0] == 0.0)
+    assert np.all(batched_p[:, mask == 0.0] == 0.0)
+
+
+def test_masked_returns_are_zero(small_paths, desk_cache):
     grid = ct.desk_grid()
-    returns, premiums, mask = ct.grid_returns(small_paths, grid, pricer)
+    returns, premiums, mask = ct.grid_returns(small_paths, grid, desk_cache)
     assert np.all(returns[:, mask == 0.0] == 0.0)
     assert np.all(premiums[:, mask == 0.0] == 0.0)
 
@@ -364,14 +389,3 @@ def test_pseudo_target_covariance_matches_dense_hessian():
     se = prods.std(axis=0, ddof=1) / np.sqrt(n)
     assert (np.abs(emp - dense) < 5 * se + 1e-12).all()
 
-
-def test_episode_tensor_validates_masking():
-    mask = np.array([[1.0, 0.0]])
-    good = ct.EpisodeTensor(
-        actions=np.zeros((2, 1, 2)), returns=np.zeros((2, 1, 2)),
-        premiums=np.zeros((2, 1, 2)), mask=mask, payoff=np.zeros(2))
-    bad_returns = np.zeros((2, 1, 2))
-    bad_returns[0, 0, 1] = 0.5
-    with pytest.raises(ValueError):
-        ct.EpisodeTensor(actions=np.zeros((2, 1, 2)), returns=bad_returns,
-                         premiums=np.zeros((2, 1, 2)), mask=mask, payoff=np.zeros(2))

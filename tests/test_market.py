@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from deephedge.contracts import full_grid
 from deephedge.market import (
     CachedGridPricer,
     HestonParams,
@@ -90,6 +91,18 @@ def test_pathset_rejects_bad_magic(tmp_path):
     f.write_bytes(b"NOPE" + b"\x00" * 128)
     with pytest.raises(MarketError, match="magic"):
         PathSet.load(f)
+
+
+def test_pathset_truncated_file_raises_market_error(tmp_path):
+    ps = simulate(PAPER, 16, 8, DT, substeps=1, seed=2)
+    f = tmp_path / "paths.hpth"
+    ps.save(f)
+    full = f.read_bytes()
+    cut = tmp_path / "cut.hpth"
+    for size in (20, len(full) // 2):   # inside the header, then mid-payload
+        cut.write_bytes(full[:size])
+        with pytest.raises(MarketError, match="truncated"):
+            PathSet.load(cut)
 
 
 def test_pathset_csv_export(tmp_path):
@@ -212,3 +225,71 @@ def test_cached_grid_pricer_rejects_out_of_range():
         cache.unit_call(np.array([0.6]), 10, 0.0)
     with pytest.raises(KeyError):
         cache.unit_call(np.array([0.1]), 40, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# all-contract Chebyshev evaluation
+
+
+V_MAX = 0.9
+
+
+@pytest.fixture(scope="module")
+def grid_cache(pricer):
+    contracts = [(o.tau_steps, o.log_moneyness) for o in full_grid().entries]
+    return CachedGridPricer(pricer, contracts, v_max=V_MAX)
+
+
+def _all_calls(cache):
+    return [(tau, k, True) for tau, k in cache.contracts]
+
+
+def _chebval_reference(cache, v):
+    y = 2.0 * v / cache.v_max - 1.0
+    return np.stack([np.polynomial.chebyshev.chebval(y, c) for c in cache.coef], axis=-1)
+
+
+def test_all_contract_evaluation_matches_chebval(grid_cache):
+    assert grid_cache.coef.shape == (19, 121)
+    rng = np.random.default_rng(17)
+    chunk = grid_cache.CHUNK
+    inputs = [np.array([0.0]), np.array([V_MAX]), rng.uniform(0.0, V_MAX, 1)]
+    for n in (chunk - 1, chunk, chunk + 1):
+        v = rng.uniform(0.0, V_MAX, n)
+        v[:2] = 0.0, V_MAX
+        inputs.append(v)
+    for v in inputs:
+        got = grid_cache.unit_prices(v, _all_calls(grid_cache))
+        assert got.shape == (v.size, 19)
+        assert np.abs(got - _chebval_reference(grid_cache, v)).max() <= 1e-14
+
+
+def test_all_contract_evaluation_fills_a_strided_view(grid_cache):
+    # a matrix of variances goes in blocks of whole rows, written in place
+    rng = np.random.default_rng(18)
+    v = rng.uniform(0.0, V_MAX, (70, 130))[:, :117]
+    dest = np.zeros((70, 130, 20))
+    out = grid_cache.unit_prices(v, _all_calls(grid_cache), out=dest[:, :117, 1:])
+    assert np.shares_memory(out, dest)
+    ref = _chebval_reference(grid_cache, v)
+    assert np.abs(dest[:, :117, 1:] - ref).max() <= 1e-14
+    assert np.all(dest[:, 117:] == 0.0) and np.all(dest[:, :, 0] == 0.0)
+
+
+def test_put_prices_are_calls_by_parity(grid_cache):
+    v = np.random.default_rng(19).uniform(0.0, V_MAX, 300)
+    calls = grid_cache.unit_prices(v, _all_calls(grid_cache))
+    puts = grid_cache.unit_prices(v, [(tau, k, False) for tau, k in grid_cache.contracts])
+    ks = np.array([k for _, k in grid_cache.contracts])
+    assert np.array_equal(puts, calls - 1.0 + np.exp(ks))
+    for tau, k in grid_cache.contracts:
+        one = grid_cache.unit_price(v, tau, k, False)
+        assert np.array_equal(one, grid_cache.unit_call(v, tau, k) - 1.0 + np.exp(k))
+
+
+def test_all_contract_path_rejects_out_of_range(grid_cache):
+    for bad in (V_MAX * 1.001, -1e-3, np.nan):
+        v = np.full(grid_cache.CHUNK + 5, 0.1)
+        v[-1] = bad   # in the second block, after the first has been priced
+        with pytest.raises(MarketError):
+            grid_cache.unit_prices(v, _all_calls(grid_cache))
