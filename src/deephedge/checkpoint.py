@@ -37,7 +37,9 @@ def save_records(path, records: dict[str, np.ndarray], cfg_hash: int,
         fh.write(kind)
         fh.write(struct.pack("<II", opt_state_version, len(records)))
         for name, arr in records.items():
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            # asarray, not ascontiguousarray, which would make a 0-d array 1-d;
+            # tobytes writes C order either way
+            arr = np.asarray(arr, dtype=np.float64)
             encoded = name.encode()
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

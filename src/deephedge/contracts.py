@@ -11,7 +11,7 @@ independent of the policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,37 +160,12 @@ def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray,
     return returns, premiums, mask
 
 
-def cliquet_payoff(spot: np.ndarray, spec: CliquetSpec) -> float:
-    """Payoff of one path; ``spot`` covers steps 0..T with T = last reset."""
-    total = 0.0
-    prev = 0
-    for r in spec.resets:
-        total += min(spot[r] / spot[prev] - 1.0, spec.cap)
-        prev = r
-    return max(total, 0.0)
-
-
 def cliquet_payoff_batch(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:
     """Payoffs over a batch; spot has shape (n, T + 1)."""
     idx = (0,) + spec.resets
     period = spot[:, idx[1:]] / spot[:, idx[:-1]] - 1.0
     capped = np.minimum(period, spec.cap)
     return np.maximum(capped.sum(axis=1), 0.0)
-
-
-def running_cliquet_value(spot: np.ndarray, spec: CliquetSpec, t: int) -> float:
-    """Payoff if the contract matured at step t: completed periods plus the
-    capped return of the running period, floored at zero."""
-    if not 0 <= t <= spec.maturity:
-        raise ValueError(f"t={t} outside [0, {spec.maturity}]")
-    total = 0.0
-    prev = 0
-    for r in spec.resets:
-        if r <= t:
-            total += min(spot[r] / spot[prev] - 1.0, spec.cap)
-            prev = r
-    total += min(spot[t] / spot[prev] - 1.0, spec.cap)
-    return max(total, 0.0)
 
 
 def running_cliquet_batch(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:
@@ -297,9 +272,6 @@ class InnerHessian:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * self.gamma * self.r_vec * (self.r_vec @ x) + self.diag * x
-
-    def dense(self) -> np.ndarray:
-        return 2.0 * self.gamma * np.outer(self.r_vec, self.r_vec) + np.diag(self.diag)
 
 
 def inner_hessian(path_returns: np.ndarray, gamma: float, costs: CostSpec) -> InnerHessian:

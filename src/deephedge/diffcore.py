@@ -18,10 +18,9 @@ is treated as a hard error, not a value.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 # The universal numeric carrier: a 2-D C-order float64 array.
 Matrix64 = np.ndarray
@@ -103,7 +102,7 @@ class HookChannel:
 
 class Node:
     __slots__ = ("tape", "idx", "value", "parents", "backward_fn", "grad",
-                 "param", "needs_grad", "grad_owned")
+                 "needs_grad", "grad_owned")
 
     def __init__(self, tape: "Tape", idx: int, value: np.ndarray,
                  parents: tuple, backward_fn, param: str | None):
@@ -113,30 +112,8 @@ class Node:
         self.parents = parents
         self.backward_fn = backward_fn
         self.grad: np.ndarray | None = None
-        self.param = param
         self.needs_grad = param is not None or any(p.needs_grad for p in parents)
         self.grad_owned = False
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
-    # Light sugar; everything maps onto the primitive set below.
-    def __add__(self, other: "Node") -> "Node":
-        return add(self, other)
-
-    def __sub__(self, other: "Node") -> "Node":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Node":
-        if isinstance(other, Node):
-            return multiply(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Node":
-        return scale(self, -1.0)
 
 
 class Tape:
@@ -192,31 +169,6 @@ def _tape_of(*nodes: Node) -> Tape:
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def matmul(a: Node, b: Node, transpose_a: bool = False, transpose_b: bool = False) -> Node:
-    tape = _tape_of(a, b)
-    av, bv = a.value, b.value
-    ka = av.shape[0] if transpose_a else av.shape[1]
-    kb = bv.shape[1] if transpose_b else bv.shape[0]
-    if ka != kb:
-        raise DiffError(f"matmul inner dims {ka} != {kb} "
-                        f"(shapes {av.shape}, {bv.shape}, ta={transpose_a}, tb={transpose_b})")
-    left = av.T if transpose_a else av
-    right = bv.T if transpose_b else bv
-    value = left @ right
-    na, nb = a.needs_grad, b.needs_grad
-
-    def backward_fn(g: np.ndarray):
-        if not transpose_a and not transpose_b:
-            return (g @ bv.T if na else None, av.T @ g if nb else None)
-        if transpose_a and not transpose_b:
-            return (bv @ g.T if na else None, av @ g if nb else None)
-        if not transpose_a and transpose_b:
-            return (g @ bv if na else None, g.T @ av if nb else None)
-        return (bv.T @ g.T if na else None, g.T @ av.T if nb else None)
-
-    return tape._emit(value, (a, b), backward_fn, "matmul")
 
 
 def _broadcast_check(x: np.ndarray, y: np.ndarray, op: str) -> None:
@@ -289,52 +241,11 @@ def scale(a: Node, s: float) -> Node:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (tanh(x/2) + 1): exact, stable, and faster than expit here
+    # 0.5 * (tanh(x/2) + 1): exact, stable, and faster than scipy's logistic here
     y = np.tanh(0.5 * x)
     y += 1.0
     y *= 0.5
     return y
-
-
-def sigmoid(a: Node) -> Node:
-    y = _sigmoid(a.value)
-
-    def backward_fn(g: np.ndarray):
-        return (g * y * (1.0 - y),)
-
-    return a.tape._emit(y, (a,), backward_fn, "sigmoid")
-
-
-def tanh(a: Node) -> Node:
-    y = np.tanh(a.value)
-
-    def backward_fn(g: np.ndarray):
-        return (g * (1.0 - y * y),)
-
-    return a.tape._emit(y, (a,), backward_fn, "tanh")
-
-
-def square(a: Node) -> Node:
-    av = a.value
-    value = av * av
-
-    def backward_fn(g: np.ndarray):
-        return (g * (2.0 * av),)
-
-    return a.tape._emit(value, (a,), backward_fn, "square")
-
-
-def absval(a: Node) -> Node:
-    av = a.value
-    value = np.abs(av)
-    # Subgradient 0 at 0: actions are exactly zero only through masking,
-    # where the gradient is discarded anyway.
-    sgn = np.sign(av)
-
-    def backward_fn(g: np.ndarray):
-        return (g * sgn,)
-
-    return a.tape._emit(value, (a,), backward_fn, "abs")
 
 
 def symexp(a: Node) -> Node:
@@ -350,9 +261,8 @@ def symexp(a: Node) -> Node:
     return a.tape._emit(value, (a,), backward_fn, "symexp")
 
 
-def concat(nodes: Sequence[Node], axis: int = 1) -> Node:
-    if axis != 1:
-        raise DiffError("concat supports axis=1 only")
+def concat(nodes: Sequence[Node]) -> Node:
+    """Side-by-side concatenation along columns."""
     tape = _tape_of(*nodes)
     rows = nodes[0].value.shape[0]
     for n in nodes[1:]:
@@ -383,35 +293,10 @@ def slice_cols(a: Node, start: int, stop: int) -> Node:
     return a.tape._emit(value, (a,), backward_fn, "slice")
 
 
-def slice_rows(a: Node, start: int, stop: int) -> Node:
-    av = a.value
-    if not (0 <= start < stop <= av.shape[0]):
-        raise DiffError(f"slice_rows [{start}:{stop}] out of range for shape {av.shape}")
-    value = av[start:stop, :].copy()
-    shape = av.shape
-
-    def backward_fn(g: np.ndarray):
-        out = np.zeros(shape)
-        out[start:stop, :] = g
-        return (out,)
-
-    return a.tape._emit(value, (a,), backward_fn, "slice")
-
-
-def _reduction(a: Node, axis: int | None, op: str) -> tuple[np.ndarray, tuple]:
-    av = a.value
-    if axis is None:
-        value = np.array([[av.sum()]])
-    elif axis in (0, 1):
-        value = av.sum(axis=axis, keepdims=True)
-    else:
-        raise DiffError(f"{op}: axis must be None, 0 or 1")
-    return value, av.shape
-
-
-def total(a: Node, axis: int | None = None) -> Node:
-    """Sum over all entries (axis=None), rows (axis=0) or columns (axis=1)."""
-    value, shape = _reduction(a, axis, "sum")
+def total(a: Node) -> Node:
+    """Sum over all entries; output shape (1, 1)."""
+    shape = a.value.shape
+    value = np.array([[a.value.sum()]])
 
     def backward_fn(g: np.ndarray):
         return (np.broadcast_to(g, shape).copy() if g.shape != shape else g,)
@@ -419,10 +304,11 @@ def total(a: Node, axis: int | None = None) -> Node:
     return a.tape._emit(value, (a,), backward_fn, "sum")
 
 
-def mean(a: Node, axis: int | None = None) -> Node:
-    value, shape = _reduction(a, axis, "mean")
-    count = shape[0] * shape[1] if axis is None else shape[axis]
-    value = value / count
+def mean(a: Node) -> Node:
+    """Mean over all entries; output shape (1, 1)."""
+    shape = a.value.shape
+    count = shape[0] * shape[1]
+    value = np.array([[a.value.sum()]]) / count
 
     def backward_fn(g: np.ndarray):
         return (np.broadcast_to(g / count, shape).copy(),)
@@ -513,8 +399,8 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
     previous state, ``w`` the (4H, 2H + 1) bias-augmented gate matrix with
     gate order (input, forget, cell, output). The stacked gate
     pre-activation is the layer's hook point, so the whole cell forms one
-    Kronecker curvature block. Mathematically this is the composition of
-    the affine / sigmoid / tanh / multiply / add primitives; it is fused
+    Kronecker curvature block. Mathematically this is an affine map
+    followed by elementwise sigmoid, tanh, products and sums; it is fused
     because the cell dominates the unroll's node count.
     """
     tape = _tape_of(x, hc_prev, w)
@@ -619,11 +505,6 @@ def hedge_accumulate(action_nodes: Sequence[Node], returns: np.ndarray,
                      for t in range(n_steps))
 
     return tape._emit(value, tuple(action_nodes), backward_fn, "hedge_accumulate")
-
-
-def dot(a: Node, b: Node) -> Node:
-    """Scalar inner product of two equal-shape matrices."""
-    return total(multiply(a, b))
 
 
 # ---------------------------------------------------------------------------

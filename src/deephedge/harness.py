@@ -4,7 +4,11 @@ One YAML config describes the whole experiment: market, instrument grid,
 cliquet, costs, policy, both optimizer settings, data sizes, and the
 training schedule. All randomness derives from the single root seed
 through tagged streams, so a config determines its datasets, its
-initialization, and its optimization trajectory bit for bit.
+initialization, and its optimization trajectory bit for bit. A config is
+checked when it is built: a value the training loop cannot run with
+raises :class:`ConfigError` there, not an error deep inside training.
+The harness writes a manifest, metrics, a checkpoint and evaluation
+exports; simulated paths stay in memory.
 
 The policy's matrix products are small, so threaded BLAS loses more to
 synchronization than it gains. The BLAS thread count cannot be changed
@@ -20,7 +24,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +58,11 @@ class DataConfig:
     n_val: int = 10_000
     n_test: int = 10_000
 
+    def __post_init__(self):
+        # the loss estimator is an unbiased variance over the paths
+        if self.n_val < 2 or self.n_test < 2:
+            raise ValueError("n_val and n_test must be at least 2")
+
 
 @dataclass
 class TrainingConfig:
@@ -65,6 +74,14 @@ class TrainingConfig:
     val_target: float | None = None
     divergence_factor: float = 10.0
     divergence_patience: int = 50
+
+    def __post_init__(self):
+        if self.val_every < 1:
+            raise ValueError("val_every must be at least 1")
+        if self.probe_every < 0:
+            raise ValueError("probe_every must be non-negative")
+        if self.probe_paths < 2:
+            raise ValueError("probe_paths must be at least 2")
 
 
 @dataclass
@@ -174,6 +191,10 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
     for opt in grid.entries:
         if opt.tau_steps > cliquet.maturity:
             raise ConfigError(f"grid option with tau={opt.tau_steps} exceeds the horizon")
+    if not (dt > 0.0 and substeps >= 1):
+        raise ConfigError("market dt must be positive and substeps at least 1")
+    if gamma < 0.0:
+        raise ConfigError("risk_aversion must be non-negative")
     if tcfg.batch_size < 2:
         raise ConfigError("batch_size must be at least 2")
     if dcfg.n_train < tcfg.batch_size:
@@ -218,42 +239,29 @@ def make_cached_pricer(cfg: ExperimentConfig, v_max: float) -> mk.CachedGridPric
     return mk.CachedGridPricer(base, contracts_list, v_max=v_max)
 
 
-def build_dataset(cfg: ExperimentConfig, role: str, pricer=None,
-                  paths: mk.PathSet | None = None, keep_premiums: bool = False) -> Dataset:
-    if role not in _ROLE_STREAMS:
-        raise ConfigError(f"unknown dataset role '{role}'")
-    n = {"train": cfg.data.n_train, "val": cfg.data.n_val, "test": cfg.data.n_test}[role]
-    if paths is None:
-        paths = mk.simulate(cfg.market, n, cfg.cliquet.maturity, cfg.dt,
-                            substeps=cfg.substeps, seed=cfg.seed,
-                            stream=_ROLE_STREAMS[role])
-    if pricer is None:
-        pricer = make_cached_pricer(cfg, v_max=float(paths.variance.max()) * 1.02 + 1e-6)
-    returns, premiums, mask = ct.grid_returns(paths, cfg.grid, pricer)
-    features = ct.feature_tensor(paths, cfg.cliquet)
-    payoff = ct.cliquet_payoff_batch(paths.spot, cfg.cliquet)
-    return Dataset(role=role, paths=paths, features=features, returns=returns,
-                   premiums=premiums if keep_premiums else None,
-                   mask=mask, payoff=payoff)
-
-
-def build_datasets(cfg: ExperimentConfig, roles=("train", "val"),
-                   train_paths: mk.PathSet | None = None) -> dict[str, Dataset]:
-    path_sets = {}
+def build_datasets(cfg: ExperimentConfig, roles=("train", "val")) -> dict[str, Dataset]:
+    """Simulate every role's paths on its own stream, fit one grid pricer
+    over all their variances, then derive returns, features and payoffs.
+    Only the test set keeps its premiums."""
     for role in roles:
-        if role == "train" and train_paths is not None:
-            path_sets[role] = train_paths
-        else:
-            n = {"train": cfg.data.n_train, "val": cfg.data.n_val,
-                 "test": cfg.data.n_test}[role]
-            path_sets[role] = mk.simulate(cfg.market, n, cfg.cliquet.maturity, cfg.dt,
-                                          substeps=cfg.substeps, seed=cfg.seed,
-                                          stream=_ROLE_STREAMS[role])
+        if role not in _ROLE_STREAMS:
+            raise ConfigError(f"unknown dataset role '{role}'")
+    sizes = {"train": cfg.data.n_train, "val": cfg.data.n_val, "test": cfg.data.n_test}
+    path_sets = {role: mk.simulate(cfg.market, sizes[role], cfg.cliquet.maturity, cfg.dt,
+                                   substeps=cfg.substeps, seed=cfg.seed,
+                                   stream=_ROLE_STREAMS[role])
+                 for role in roles}
     v_max = max(float(ps.variance.max()) for ps in path_sets.values()) * 1.02 + 1e-6
     pricer = make_cached_pricer(cfg, v_max)
-    return {role: build_dataset(cfg, role, pricer=pricer, paths=ps,
-                                keep_premiums=(role == "test"))
-            for role, ps in path_sets.items()}
+    datasets = {}
+    for role, paths in path_sets.items():
+        returns, premiums, mask = ct.grid_returns(paths, cfg.grid, pricer)
+        features = ct.feature_tensor(paths, cfg.cliquet)
+        payoff = ct.cliquet_payoff_batch(paths.spot, cfg.cliquet)
+        datasets[role] = Dataset(role=role, paths=paths, features=features, returns=returns,
+                                 premiums=premiums if role == "test" else None,
+                                 mask=mask, payoff=payoff)
+    return datasets
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +378,12 @@ def _check_finite_training(cfg, params, ds_train, idx, loss, grads):
 
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
-          train_paths: mk.PathSet | None = None,
           datasets: dict[str, Dataset] | None = None) -> TrainResult:
     """Run the configured optimizer; writes metrics, manifest, checkpoint."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if datasets is None:
-        datasets = build_datasets(cfg, ("train", "val"), train_paths=train_paths)
+        datasets = build_datasets(cfg, ("train", "val"))
     ds_train, ds_val = datasets["train"], datasets["val"]
     gamma, costs = cfg.risk_aversion, cfg.costs
     tcfg = cfg.training
@@ -499,16 +506,6 @@ def _metrics_row(it, train_loss, val_loss, eta, rho_tr, grad_var, max_scale, wal
 # evaluation
 
 
-def load_policy(cfg: ExperimentConfig, checkpoint_path) -> pol.PolicyParams:
-    records, cfg_hash, kind, _ = ckpt.load_records(checkpoint_path)
-    if cfg_hash != cfg.identity_hash():
-        raise ckpt.CheckpointError("checkpoint does not match this config")
-    params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
-    for name in params.values:
-        params.values[name] = records[name].copy()
-    return params
-
-
 QUANTS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
@@ -584,19 +581,6 @@ def write_evaluation(outdir, result: dict) -> tuple[str, str]:
 
 # ---------------------------------------------------------------------------
 # plot-ready exports
-
-
-def export_loss_curves(metrics_csv, outdir) -> str:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "loss_curves.csv"
-    lines = Path(metrics_csv).read_text().strip().splitlines()
-    with open(out, "w") as fh:
-        fh.write("iteration,train_loss,val_loss\n")
-        for line in lines[1:]:
-            parts = line.split(",")
-            fh.write(f"{parts[0]},{parts[1]},{parts[2]}\n")
-    return str(out)
 
 
 def export_pnl_histogram(per_path_csv, outdir, bins: int = 60) -> str:

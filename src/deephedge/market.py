@@ -12,15 +12,17 @@ Pricing evaluates the single-integral characteristic-function formula
 
 with X = ln(x / K), via fixed Gauss-Laguerre quadrature and the
 numerically stable branch of the Heston characteristic function. A
-second rule with fewer nodes provides the quadrature error estimate.
+second rule with different nodes provides the quadrature error estimate.
 Rates are zero throughout; puts come from put-call parity.
+
+Path sets live in memory only; the package defines no file format for
+them. The Monte Carlo pricing oracle and the per-point (spot, strike)
+prices that check this module live in the test suite, ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import io
 import logging
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,10 +32,6 @@ from scipy.special import roots_laguerre, roots_legendre
 from . import rngstreams
 
 log = logging.getLogger(__name__)
-
-PATHSET_MAGIC = b"HPTH"
-PATHSET_VERSION = 1
-_PATHSET_HEADER = struct.Struct("<4sIQId6dQI")
 
 
 class MarketError(RuntimeError):
@@ -81,51 +79,6 @@ class PathSet:
     @property
     def n_steps(self) -> int:
         return self.spot.shape[1] - 1
-
-    def save(self, path) -> None:
-        p = self.params
-        header = _PATHSET_HEADER.pack(
-            PATHSET_MAGIC, PATHSET_VERSION, self.n_paths, self.n_steps, self.dt,
-            p.x0, p.v0, p.kappa, p.theta, p.xi, p.rho,
-            self.seed, self.substeps,
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.spot).tobytes())
-            fh.write(np.ascontiguousarray(self.variance).tobytes())
-
-    @classmethod
-    def load(cls, path) -> "PathSet":
-        with open(path, "rb") as fh:
-            magic, version, n_paths, n_steps, dt, x0, v0, kappa, theta, xi, rho, seed, substeps = \
-                _PATHSET_HEADER.unpack(_read_exact(fh, _PATHSET_HEADER.size, "header"))
-            if magic != PATHSET_MAGIC:
-                raise MarketError(f"not a path-set file: bad magic {magic!r}")
-            if version != PATHSET_VERSION:
-                raise MarketError(f"unsupported path-set version {version}")
-            shape = (n_paths, n_steps + 1)
-            count = n_paths * (n_steps + 1)
-            spot = np.frombuffer(_read_exact(fh, 8 * count, "spot")).reshape(shape).copy()
-            variance = np.frombuffer(_read_exact(fh, 8 * count, "variance")).reshape(shape).copy()
-        params = HestonParams(x0=x0, v0=v0, kappa=kappa, theta=theta, xi=xi, rho=rho)
-        return cls(spot=spot, variance=variance, dt=dt, substeps=substeps,
-                   seed=seed, stream=0, params=params)
-
-    def to_csv(self, path) -> None:
-        """Plain CSV dump for small sets: one row per (path, step)."""
-        with open(path, "w") as fh:
-            fh.write("path,step,spot,variance\n")
-            for p in range(self.n_paths):
-                for t in range(self.n_steps + 1):
-                    fh.write(f"{p},{t},{float(self.spot[p, t])!r},{float(self.variance[p, t])!r}\n")
-
-
-def _read_exact(fh, n_bytes: int, what: str) -> bytes:
-    data = fh.read(n_bytes)
-    if len(data) != n_bytes:
-        raise MarketError(f"truncated path-set file: {what} needs {n_bytes} bytes, "
-                          f"found {len(data)}")
-    return data
 
 
 def _advance_substep(ln_x, v, params: HestonParams, delta: float, z: np.ndarray):
@@ -176,28 +129,6 @@ def simulate(params: HestonParams, n_paths: int, n_steps: int, dt: float,
         log.info("variance clamped on %.4f%% of substeps", 100.0 * frac)
     return PathSet(spot=spot, variance=variance, dt=dt, substeps=substeps,
                    seed=seed, stream=stream, params=params, clamp_fraction=frac)
-
-
-def simulate_snapshots(params: HestonParams, n_paths: int, snap_steps, dt: float,
-                       substeps: int, seed: int, stream: int = 0) -> dict[int, np.ndarray]:
-    """Spot values at selected steps only, without storing full paths.
-
-    Used by the Monte Carlo pricing oracle, where a million paths at a
-    fine substep grid would not fit in memory as a full PathSet.
-    """
-    snap_steps = sorted(set(int(s) for s in snap_steps))
-    horizon = snap_steps[-1]
-    delta = dt / substeps
-    ln_x = np.full(n_paths, np.log(params.x0))
-    v = np.full(n_paths, params.v0)
-    out: dict[int, np.ndarray] = {}
-    for t in range(horizon):
-        for s in range(substeps):
-            z = rngstreams.substep_normals(seed, stream, t * substeps + s, n_paths)
-            ln_x, v, _ = _advance_substep(ln_x, v, params, delta, z)
-        if t + 1 in snap_steps:
-            out[t + 1] = np.exp(ln_x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +241,6 @@ class HestonPricer:
             raise MarketError(f"price outside no-arbitrage bounds (tau_steps={tau_steps}, k={k})")
         return np.clip(price, lo, 1.0)
 
-    def call_price(self, x: float, v: float, tau_steps: int, strike: float) -> float:
-        if x <= 0 or strike <= 0:
-            raise ValueError("spot and strike must be positive")
-        k = np.log(strike / x)
-        return float(x * self.unit_call(np.array([v]), tau_steps, k)[0])
-
-    def put_price(self, x: float, v: float, tau_steps: int, strike: float) -> float:
-        # Zero rates: P = C - x + K, exact by construction.
-        return self.call_price(x, v, tau_steps, strike) - x + strike
 
 class CachedGridPricer:
     """Chebyshev-accelerated pricer for a fixed set of (tau, k) contracts.
@@ -336,8 +258,8 @@ class CachedGridPricer:
     so this replaces C separate Clenshaw passes of degree K with one
     recurrence and one matrix product, and keeps the working set at a few
     MB whatever the number of variances. ``unit_call`` and ``unit_price``
-    are its one-contract case; the scalar interface matches
-    :class:`HestonPricer`.
+    are its one-contract case; ``unit_call`` matches
+    :meth:`HestonPricer.unit_call`.
     """
 
     CHUNK = 4096  # variances per basis block: (K+1) x CHUNK float64, 4 MB at degree 120
@@ -423,43 +345,3 @@ class CachedGridPricer:
     def unit_price(self, v, tau_steps: int, k: float, is_call: bool) -> np.ndarray:
         v = np.atleast_1d(np.asarray(v, dtype=np.float64))
         return self.unit_prices(v, [(tau_steps, k, is_call)])[..., 0]
-
-    def call_price(self, x: float, v: float, tau_steps: int, strike: float) -> float:
-        k = np.log(strike / x)
-        return float(x * self.unit_call(np.array([v]), tau_steps, k)[0])
-
-    def put_price(self, x: float, v: float, tau_steps: int, strike: float) -> float:
-        return self.call_price(x, v, tau_steps, strike) - x + strike
-
-
-def mc_option_prices(params: HestonParams, contracts, dt: float,
-                     n_samples: int = 1_000_000, substeps: int = 8,
-                     seed: int = 0, chunk: int = 250_000):
-    """Monte Carlo payoff means and standard errors at the initial state.
-
-    ``contracts`` is a sequence of (tau_steps, k, is_call). Payoffs for
-    all contracts are evaluated on one shared set of paths simulated at
-    a fine substep grid. Returns (means, standard_errors).
-    """
-    contracts = list(contracts)
-    taus = sorted(set(c[0] for c in contracts))
-    sums = np.zeros(len(contracts))
-    sq_sums = np.zeros(len(contracts))
-    done = 0
-    chunk_id = 0
-    while done < n_samples:
-        n = min(chunk, n_samples - done)
-        snaps = simulate_snapshots(params, n, taus, dt, substeps,
-                                   seed=seed, stream=1000 + chunk_id)
-        for i, (tau_steps, k, is_call) in enumerate(contracts):
-            x_tau = snaps[tau_steps]
-            strike = params.x0 * np.exp(k)
-            payoff = np.maximum(x_tau - strike, 0.0) if is_call else np.maximum(strike - x_tau, 0.0)
-            sums[i] += payoff.sum()
-            sq_sums[i] += (payoff * payoff).sum()
-        done += n
-        chunk_id += 1
-    means = sums / done
-    var = np.maximum(sq_sums / done - means ** 2, 0.0)
-    ses = np.sqrt(var / done)
-    return means, ses

@@ -21,7 +21,7 @@ method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class KfacConfig:
             raise ValueError("tr_decay must lie in (0, 1]")
         if not 0.0 < self.shrinkage < 1.0:
             raise ValueError("shrinkage must lie in (0, 1)")
+        if self.n_cov < 1 or self.n_evd < 1:
+            raise ValueError("n_cov and n_evd must be at least 1")
+        if not (self.tr_init > 0.0 and self.eta_max > 0.0):
+            raise ValueError("tr_init and eta_max must be positive")
 
 
 @dataclass
@@ -71,6 +75,10 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     clip_norm: float = 1.0
+
+    def __post_init__(self):
+        if not self.lr_peak > 0.0:
+            raise ValueError("lr_peak must be positive")
 
 
 # ---------------------------------------------------------------------------

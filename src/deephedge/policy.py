@@ -17,7 +17,7 @@ diagonal curvature treatment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,10 @@ class PolicyConfig:
     hidden: int = 32
     n_blocks: int = 4
     head_scale: float = 1e-3
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValueError("hidden width must be at least 1")
 
     def param_shapes(self) -> dict[str, tuple[int, int]]:
         h = self.hidden
@@ -60,9 +64,6 @@ class PolicyParams:
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.config, {k: v.copy() for k, v in self.values.items()})
-
-    def n_parameters(self) -> int:
-        return sum(v.size for v in self.values.values())
 
 
 def init_params(config: PolicyConfig, rng: np.random.Generator) -> PolicyParams:
@@ -120,7 +121,6 @@ def forward_step(params_nodes: dict[str, dc.Node], config: PolicyConfig,
 class RolloutResult:
     tape: dc.Tape
     action_nodes: list[dc.Node]
-    param_nodes: dict[str, dc.Node]
     channels: dict[str, dc.HookChannel]
 
     @property
@@ -146,15 +146,14 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     if mask.shape != (n_steps, config.action_dim):
         raise ValueError(f"mask shape {mask.shape} unexpected")
     tape = dc.Tape(record=record, validate=validate)
-    param_nodes = {name: tape.parameter(name, value) for name, value in params.values.items()}
+    params_nodes = {name: tape.parameter(name, value) for name, value in params.values.items()}
     channels = {name: dc.HookChannel(name) for name in params.kronecker_names} if capture else {}
     state = _zero_state(tape, config, n)
     action_nodes = []
     for t in range(n_steps):
         feat_node = tape.constant(features[:, t, :])
         mask_row = tape.constant(mask[t].reshape(1, -1))
-        u, state = forward_step(param_nodes, config, state, feat_node, mask_row, channels)
+        u, state = forward_step(params_nodes, config, state, feat_node, mask_row, channels)
         action_nodes.append(u)
-    return RolloutResult(tape=tape, action_nodes=action_nodes,
-                         param_nodes=param_nodes, channels=channels)
+    return RolloutResult(tape=tape, action_nodes=action_nodes, channels=channels)
 

@@ -1,10 +1,12 @@
 """Deterministic random-number streams derived from one root seed.
 
 Every source of randomness in the package (market simulation, parameter
-initialization, batch shuffling, pseudo-target sampling, Monte Carlo
-oracles) draws from its own counter-based Philox stream, keyed by the
-root seed, a purpose tag, and an optional sub-index. Streams are
-mutually independent and reproducible regardless of evaluation order.
+initialization, batch shuffling, pseudo-target sampling) draws from its
+own counter-based Philox stream, keyed by the root seed, a purpose tag,
+and an optional sub-index. Streams are mutually independent and
+reproducible regardless of evaluation order. The Monte Carlo pricing
+oracle of the test suite simulates through :func:`substep_normals` on
+market stream ids of 1000 and above.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ POLICY_INIT = 4
 BATCH_SHUFFLE = 5
 PSEUDO_PATH = 6
 PSEUDO_NOISE = 7
-MC_ORACLE = 8
-MARKET_SUBSTEP = 9
+MARKET_SUBSTEP = 9  # 8 is unassigned
 
 
 def stream(seed: int, tag: int, index: int = 0) -> Generator:

@@ -1,15 +1,18 @@
 """Independent numerical oracles shared by the test suite.
 
 Everything here is deliberately dumb and slow: central finite
-differences, brute-force payoff recomputation, dense matrix algebra.
-None of it touches the reverse-mode machinery it is used to check.
+differences, brute-force payoff recomputation, dense matrix algebra,
+per-point option prices and a Monte Carlo pricer. None of it touches
+the reverse-mode machinery or the batched pricing it is used to check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from deephedge.contracts import GridSpec, availability_mask
+from deephedge import rngstreams
+from deephedge.contracts import GridSpec, InnerHessian, availability_mask
+from deephedge.market import HestonParams, _advance_substep
 
 
 def central_diff_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -87,6 +90,24 @@ def running_cliquet_bruteforce(spot: np.ndarray, cap: float, resets: list[int], 
     return max(total, 0.0)
 
 
+def inner_hessian_dense(h: InnerHessian) -> np.ndarray:
+    """The action-space curvature 2 gamma r r^T + diag(h.diag), materialized."""
+    return 2.0 * h.gamma * np.outer(h.r_vec, h.r_vec) + np.diag(h.diag)
+
+
+def call_price(pricer, x: float, v: float, tau_steps: int, strike: float) -> float:
+    """One call price at spot x from a pricer's unit-spot ``unit_call``."""
+    if x <= 0 or strike <= 0:
+        raise ValueError("spot and strike must be positive")
+    k = np.log(strike / x)
+    return float(x * pricer.unit_call(np.array([v]), tau_steps, k)[0])
+
+
+def put_price(pricer, x: float, v: float, tau_steps: int, strike: float) -> float:
+    # Zero rates: P = C - x + K, exact by construction.
+    return call_price(pricer, x, v, tau_steps, strike) - x + strike
+
+
 def instrument_returns(spot: np.ndarray, variance: np.ndarray, grid: GridSpec,
                        pricer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cost-free terminal returns and premiums for one path.
@@ -107,11 +128,66 @@ def instrument_returns(spot: np.ndarray, variance: np.ndarray, grid: GridSpec,
             x_t = spot[t]
             strike = x_t * np.exp(opt.log_moneyness)
             if opt.is_call:
-                prem = pricer.call_price(x_t, variance[t], opt.tau_steps, strike)
+                prem = call_price(pricer, x_t, variance[t], opt.tau_steps, strike)
                 payoff = max(spot[t + opt.tau_steps] - strike, 0.0)
             else:
-                prem = pricer.put_price(x_t, variance[t], opt.tau_steps, strike)
+                prem = put_price(pricer, x_t, variance[t], opt.tau_steps, strike)
                 payoff = max(strike - spot[t + opt.tau_steps], 0.0)
             premiums[t, i + 1] = prem
             returns[t, i + 1] = payoff - prem
     return returns, premiums, mask
+
+
+def simulate_snapshots(params: HestonParams, n_paths: int, snap_steps, dt: float,
+                       substeps: int, seed: int, stream: int = 0) -> dict[int, np.ndarray]:
+    """Spot values at selected steps only, without storing full paths.
+
+    Used by the Monte Carlo pricing oracle, where a million paths at a
+    fine substep grid would not fit in memory as a full PathSet.
+    """
+    snap_steps = sorted(set(int(s) for s in snap_steps))
+    horizon = snap_steps[-1]
+    delta = dt / substeps
+    ln_x = np.full(n_paths, np.log(params.x0))
+    v = np.full(n_paths, params.v0)
+    out: dict[int, np.ndarray] = {}
+    for t in range(horizon):
+        for s in range(substeps):
+            z = rngstreams.substep_normals(seed, stream, t * substeps + s, n_paths)
+            ln_x, v, _ = _advance_substep(ln_x, v, params, delta, z)
+        if t + 1 in snap_steps:
+            out[t + 1] = np.exp(ln_x)
+    return out
+
+
+def mc_option_prices(params: HestonParams, contracts, dt: float,
+                     n_samples: int = 1_000_000, substeps: int = 8,
+                     seed: int = 0, chunk: int = 250_000):
+    """Monte Carlo payoff means and standard errors at the initial state.
+
+    ``contracts`` is a sequence of (tau_steps, k, is_call). Payoffs for
+    all contracts are evaluated on one shared set of paths simulated at
+    a fine substep grid. Returns (means, standard_errors).
+    """
+    contracts = list(contracts)
+    taus = sorted(set(c[0] for c in contracts))
+    sums = np.zeros(len(contracts))
+    sq_sums = np.zeros(len(contracts))
+    done = 0
+    chunk_id = 0
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        snaps = simulate_snapshots(params, n, taus, dt, substeps,
+                                   seed=seed, stream=1000 + chunk_id)
+        for i, (tau_steps, k, is_call) in enumerate(contracts):
+            x_tau = snaps[tau_steps]
+            strike = params.x0 * np.exp(k)
+            payoff = np.maximum(x_tau - strike, 0.0) if is_call else np.maximum(strike - x_tau, 0.0)
+            sums[i] += payoff.sum()
+            sq_sums[i] += (payoff * payoff).sum()
+        done += n
+        chunk_id += 1
+    means = sums / done
+    var = np.maximum(sq_sums / done - means ** 2, 0.0)
+    ses = np.sqrt(var / done)
+    return means, ses

@@ -5,9 +5,12 @@ from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge.market import CachedGridPricer, HestonParams, HestonPricer, simulate
 from oracles import (
+    call_price,
     central_diff_gradient,
     cliquet_payoff_bruteforce,
+    inner_hessian_dense,
     instrument_returns,
+    put_price,
     running_cliquet_bruteforce,
 )
 
@@ -69,7 +72,7 @@ def test_flat_path_atm_put_return_is_minus_premium(pricer):
     spot = np.ones(11)
     variance = np.full(11, PAPER.v0)
     returns, premiums, mask = instrument_returns(spot, variance, grid, pricer)
-    prem = pricer.put_price(1.0, PAPER.v0, 5, 1.0)
+    prem = put_price(pricer, 1.0, PAPER.v0, 5, 1.0)
     live = mask[:, 1] == 1.0
     assert np.allclose(returns[live, 1], -premiums[live, 1])
     assert premiums[live, 1][0] == pytest.approx(prem)
@@ -94,10 +97,10 @@ def test_returns_against_bruteforce_recomputation(pricer):
     for i, opt in enumerate(grid.entries):
         strike = spot[0] * np.exp(opt.log_moneyness)
         if opt.is_call:
-            prem = pricer.call_price(spot[0], variance[0], opt.tau_steps, strike)
+            prem = call_price(pricer, spot[0], variance[0], opt.tau_steps, strike)
             payoff = max(spot[opt.tau_steps] - strike, 0.0)
         else:
-            prem = pricer.put_price(spot[0], variance[0], opt.tau_steps, strike)
+            prem = put_price(pricer, spot[0], variance[0], opt.tau_steps, strike)
             payoff = max(strike - spot[opt.tau_steps], 0.0)
         assert returns[0, i + 1] == payoff - prem
         assert premiums[0, i + 1] == prem
@@ -145,21 +148,22 @@ def test_cliquet_all_periods_capped():
     spec = ct.CliquetSpec(cap=0.015, resets=tuple(range(20, 241, 20)))
     steps = np.arange(241)
     spot = 1.05 ** (steps / 20.0)  # +5% every period, always above the cap
-    assert ct.cliquet_payoff(spot, spec) == pytest.approx(12 * 0.015)
-    assert ct.cliquet_payoff(spot, spec) == pytest.approx(0.18)
+    payoff = ct.cliquet_payoff_batch(spot[None, :], spec)[0]
+    assert payoff == pytest.approx(12 * 0.015)
+    assert payoff == pytest.approx(0.18)
 
 
 def test_cliquet_negative_periods_floored():
     spec = ct.CliquetSpec(cap=0.015, resets=(20, 40))
     spot = 0.99 ** (np.arange(41) / 20.0)
-    assert ct.cliquet_payoff(spot, spec) == 0.0
+    assert ct.cliquet_payoff_batch(spot[None, :], spec)[0] == 0.0
 
 
 def test_cliquet_mixed_periods_hand_value():
     spec = ct.CliquetSpec(cap=0.015, resets=(1, 2))
     spot = np.array([1.0, 1.05, 1.05 * 0.99])
     # min(0.05, 0.015) + min(-0.01, 0.015) = 0.005
-    assert ct.cliquet_payoff(spot, spec) == pytest.approx(0.005)
+    assert ct.cliquet_payoff_batch(spot[None, :], spec)[0] == pytest.approx(0.005)
 
 
 def test_cliquet_bounds_property():
@@ -177,7 +181,7 @@ def test_cliquet_batch_matches_bruteforce_exactly():
     batch = ct.cliquet_payoff_batch(spot, spec)
     for p in range(200):
         assert batch[p] == cliquet_payoff_bruteforce(spot[p], spec.cap, list(spec.resets))
-        assert ct.cliquet_payoff(spot[p], spec) == batch[p]
+        assert ct.cliquet_payoff_batch(spot[p:p + 1], spec)[0] == batch[p]
 
 
 def test_running_value_endpoints_and_bruteforce():
@@ -186,21 +190,23 @@ def test_running_value_endpoints_and_bruteforce():
     spot = np.exp(np.cumsum(rng.normal(0, 0.03, size=(50, 11)), axis=1))
     spot[:, 0] = 1.0
     running = ct.running_cliquet_batch(spot, spec)
+    payoff = ct.cliquet_payoff_batch(spot, spec)
+    resets = list(spec.resets)
     for p in range(50):
-        assert ct.running_cliquet_value(spot[p], spec, 0) == 0.0
+        assert running[p, 0] == 0.0
         # at maturity the running value equals the payoff
-        assert ct.running_cliquet_value(spot[p], spec, 10) == ct.cliquet_payoff(spot[p], spec)
+        assert running_cliquet_bruteforce(spot[p], spec.cap, resets, 10) == payoff[p]
         for t in range(10):
-            want = running_cliquet_bruteforce(spot[p], spec.cap, list(spec.resets), t)
+            want = running_cliquet_bruteforce(spot[p], spec.cap, resets, t)
             assert running[p, t] == want
-            assert ct.running_cliquet_value(spot[p], spec, t) == want
+            assert ct.running_cliquet_batch(spot[p:p + 1], spec)[0, t] == want
 
 
 def test_running_value_monotone_up_path_caps_bind():
     spec = ct.CliquetSpec(cap=0.015, resets=(4, 8))
     spot = 1.05 ** np.arange(9)
     # mid second period: one completed capped period plus a capped stub
-    assert ct.running_cliquet_value(spot, spec, 6) == pytest.approx(2 * 0.015)
+    assert ct.running_cliquet_batch(spot[None, :], spec)[0, 6] == pytest.approx(2 * 0.015)
 
 
 def test_feature_tensor_layout(small_paths):
@@ -324,7 +330,7 @@ def test_batch_objective_gradient_matches_finite_differences():
 def test_inner_hessian_scalar_case():
     h = ct.inner_hessian(np.array([[0.1]]), 1000.0,
                          ct.CostSpec(spot_cost=1e-4, option_cost=1e-2, l2_multiplier=8.0))
-    dense = h.dense()
+    dense = inner_hessian_dense(h)
     assert dense.shape == (1, 1)
     assert dense[0, 0] == pytest.approx(2 * 1000 * 0.01 + 2 * 8e-4)
     assert dense[0, 0] == pytest.approx(20.0016)
@@ -335,14 +341,14 @@ def test_inner_hessian_gamma_zero_is_diagonal():
     r = rng.normal(size=(3, 2))
     costs = ct.CostSpec()
     h = ct.inner_hessian(r, 0.0, costs)
-    assert np.array_equal(h.dense(), np.diag(h.diag))
+    assert np.array_equal(inner_hessian_dense(h), np.diag(h.diag))
 
 
 def test_inner_hessian_matvec_matches_dense():
     rng = np.random.default_rng(12)
     r = rng.normal(size=(4, 3))
     h = ct.inner_hessian(r, 500.0, ct.CostSpec())
-    dense = h.dense()
+    dense = inner_hessian_dense(h)
     for _ in range(5):
         x = rng.normal(size=12)
         assert np.abs(h.matvec(x) - dense @ x).max() < 1e-12
@@ -352,7 +358,7 @@ def test_inner_hessian_positive_definite():
     rng = np.random.default_rng(13)
     r = rng.normal(size=(5, 2))
     h = ct.inner_hessian(r, 1000.0, ct.CostSpec())
-    eigs = np.linalg.eigvalsh(h.dense())
+    eigs = np.linalg.eigvalsh(inner_hessian_dense(h))
     assert eigs.min() > 0
 
 
@@ -379,7 +385,7 @@ def test_pseudo_target_covariance_matches_dense_hessian():
     rng = np.random.default_rng(15)
     r = rng.normal(size=(3, 2)) * 0.2
     h = ct.inner_hessian(r, 100.0, ct.CostSpec(spot_cost=1e-3, option_cost=1e-2))
-    dense = h.dense()
+    dense = inner_hessian_dense(h)
     n = 1_000_000
     z0 = rng.standard_normal(n)
     z = rng.standard_normal((n, 6))

@@ -3,15 +3,8 @@ import pytest
 from scipy.stats import norm
 
 from deephedge.contracts import full_grid
-from deephedge.market import (
-    CachedGridPricer,
-    HestonParams,
-    HestonPricer,
-    MarketError,
-    PathSet,
-    mc_option_prices,
-    simulate,
-)
+from deephedge.market import CachedGridPricer, HestonParams, HestonPricer, MarketError, simulate
+from oracles import call_price, mc_option_prices, put_price
 
 DT = 1.0 / 250.0
 PAPER = HestonParams()
@@ -75,85 +68,43 @@ def test_simulation_deterministic_and_prefix_stable():
     assert np.array_equal(c.spot[:1000], a.spot)
 
 
-def test_pathset_binary_roundtrip(tmp_path):
-    ps = simulate(PAPER, 64, 12, DT, substeps=2, seed=9)
-    f = tmp_path / "paths.hpth"
-    ps.save(f)
-    loaded = PathSet.load(f)
-    assert np.array_equal(loaded.spot, ps.spot)
-    assert np.array_equal(loaded.variance, ps.variance)
-    assert loaded.params == ps.params
-    assert loaded.dt == ps.dt and loaded.seed == ps.seed and loaded.substeps == ps.substeps
-
-
-def test_pathset_rejects_bad_magic(tmp_path):
-    f = tmp_path / "bogus.hpth"
-    f.write_bytes(b"NOPE" + b"\x00" * 128)
-    with pytest.raises(MarketError, match="magic"):
-        PathSet.load(f)
-
-
-def test_pathset_truncated_file_raises_market_error(tmp_path):
-    ps = simulate(PAPER, 16, 8, DT, substeps=1, seed=2)
-    f = tmp_path / "paths.hpth"
-    ps.save(f)
-    full = f.read_bytes()
-    cut = tmp_path / "cut.hpth"
-    for size in (20, len(full) // 2):   # inside the header, then mid-payload
-        cut.write_bytes(full[:size])
-        with pytest.raises(MarketError, match="truncated"):
-            PathSet.load(cut)
-
-
-def test_pathset_csv_export(tmp_path):
-    ps = simulate(PAPER, 3, 4, DT, substeps=1, seed=1)
-    f = tmp_path / "paths.csv"
-    ps.to_csv(f)
-    lines = f.read_text().strip().splitlines()
-    assert lines[0] == "path,step,spot,variance"
-    assert len(lines) == 1 + 3 * 5
-    # values roundtrip through repr
-    _, _, s, v = lines[1].split(",")
-    assert float(s) == ps.spot[0, 0] and float(v) == ps.variance[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # pricing
 
 
 def test_call_price_tends_to_spot_as_strike_vanishes(pricer):
-    price = pricer.call_price(1.0, PAPER.theta, 20, 1e-10)
+    price = call_price(pricer, 1.0, PAPER.theta, 20, 1e-10)
     assert abs(price - 1.0) < 1e-9
 
 
 def test_deep_itm_one_step_price_is_intrinsic(pricer):
-    price = pricer.call_price(1.0, PAPER.theta, 1, 0.5)
+    price = call_price(pricer, 1.0, PAPER.theta, 1, 0.5)
     assert abs(price - 0.5) < 1e-4
 
 
 def test_put_call_parity_exact(pricer):
     for tau, strike in [(10, 1.0), (20, 0.97), (40, 1.05), (120, 0.85)]:
-        c = pricer.call_price(1.0, PAPER.v0, tau, strike)
-        p = pricer.put_price(1.0, PAPER.v0, tau, strike)
+        c = call_price(pricer, 1.0, PAPER.v0, tau, strike)
+        p = put_price(pricer, 1.0, PAPER.v0, tau, strike)
         assert abs(p - (c - 1.0 + strike)) < 1e-12
 
 
 def test_atm_put_equals_call(pricer):
-    c = pricer.call_price(1.0, PAPER.v0, 20, 1.0)
-    p = pricer.put_price(1.0, PAPER.v0, 20, 1.0)
+    c = call_price(pricer, 1.0, PAPER.v0, 20, 1.0)
+    p = put_price(pricer, 1.0, PAPER.v0, 20, 1.0)
     assert p == pytest.approx(c, abs=1e-15)
 
 
 def test_call_monotone_decreasing_and_convex_in_strike(pricer):
     strikes = np.linspace(0.75, 1.3, 23)
-    prices = np.array([pricer.call_price(1.0, PAPER.v0, 40, s) for s in strikes])
+    prices = np.array([call_price(pricer, 1.0, PAPER.v0, 40, s) for s in strikes])
     assert (np.diff(prices) <= 1e-12).all()
     assert (np.diff(prices, 2) >= -1e-12).all()
 
 
 def test_price_homogeneous_in_spot(pricer):
-    base = pricer.call_price(1.0, PAPER.v0, 20, 1.01)
-    scaled = pricer.call_price(1.7, PAPER.v0, 20, 1.7 * 1.01)
+    base = call_price(pricer, 1.0, PAPER.v0, 20, 1.01)
+    scaled = call_price(pricer, 1.7, PAPER.v0, 20, 1.7 * 1.01)
     assert scaled == pytest.approx(1.7 * base, rel=1e-12)
 
 
@@ -170,28 +121,28 @@ def test_black_scholes_limit():
 
     for tau_steps in (10, 40, 120):
         for strike in (0.95, 1.0, 1.05):
-            got = pr.call_price(1.0, params.theta, tau_steps, strike)
+            got = call_price(pr, 1.0, params.theta, tau_steps, strike)
             want = bs_call(strike, tau_steps * DT)
             assert abs(got - want) < 2e-5
 
 
 def test_pricing_at_zero_variance_state(pricer):
     # Feller-boundary paths touch v = 0; pricing must stay accurate there.
-    price = pricer.call_price(1.0, 0.0, 10, 1.0)
+    price = call_price(pricer, 1.0, 0.0, 10, 1.0)
     assert 0.0 < price < 0.05
 
 
 def test_invalid_pricing_inputs(pricer):
     with pytest.raises(ValueError):
-        pricer.call_price(1.0, PAPER.v0, 0, 1.0)
+        call_price(pricer, 1.0, PAPER.v0, 0, 1.0)
     with pytest.raises(ValueError):
-        pricer.call_price(-1.0, PAPER.v0, 10, 1.0)
+        call_price(pricer, -1.0, PAPER.v0, 10, 1.0)
     with pytest.raises(ValueError):
-        pricer.call_price(1.0, -0.1, 10, 1.0)
+        call_price(pricer, 1.0, -0.1, 10, 1.0)
 
 
 def test_atm_call_matches_monte_carlo(pricer):
-    cf = pricer.call_price(PAPER.x0, PAPER.v0, 20, PAPER.x0)
+    cf = call_price(pricer, PAPER.x0, PAPER.v0, 20, PAPER.x0)
     means, ses = mc_option_prices(PAPER, [(20, 0.0, True)], DT,
                                   n_samples=150_000, substeps=8, seed=13)
     assert abs(cf - means[0]) < 3 * ses[0]
@@ -199,7 +150,7 @@ def test_atm_call_matches_monte_carlo(pricer):
 
 def test_otm_put_matches_monte_carlo(pricer):
     k = -0.05
-    cf = pricer.put_price(PAPER.x0, PAPER.v0, 40, PAPER.x0 * np.exp(k))
+    cf = put_price(pricer, PAPER.x0, PAPER.v0, 40, PAPER.x0 * np.exp(k))
     means, ses = mc_option_prices(PAPER, [(40, k, False)], DT,
                                   n_samples=150_000, substeps=8, seed=13)
     assert abs(cf - means[0]) < 3 * ses[0]
@@ -215,7 +166,7 @@ def test_cached_grid_pricer_matches_quadrature(pricer):
         fast = cache.unit_call(v, tau, k)
         assert np.abs(exact - fast).max() < 1e-10
     # scalar interface agrees with the vector path bit for bit
-    assert cache.call_price(1.2, 0.3, 20, 1.2) == 1.2 * cache.unit_call(np.array([0.3]), 20, 0.0)[0]
+    assert call_price(cache, 1.2, 0.3, 20, 1.2) == 1.2 * cache.unit_call(np.array([0.3]), 20, 0.0)[0]
 
 
 def test_cached_grid_pricer_rejects_out_of_range():

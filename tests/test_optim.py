@@ -5,7 +5,7 @@ from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import optim as op
 from deephedge import policy as pol
-from oracles import central_diff_jacobian
+from oracles import central_diff_jacobian, inner_hessian_dense
 
 
 def make_optimizer(seed=0, config=None, action_dim=3):
@@ -96,8 +96,7 @@ def _toy_rollout_factory(features, mask):
             u = dc.multiply(dc.symexp(dc.affine(dc.concat([f_t, u]), w, channel=chan)),
                             mask_nodes[t])
             actions.append(u)
-        return pol.RolloutResult(tape=tape, action_nodes=actions,
-                                 param_nodes={"w": w}, channels={"w": chan})
+        return pol.RolloutResult(tape=tape, action_nodes=actions, channels={"w": chan})
 
     return rollout_fn
 
@@ -165,7 +164,7 @@ def test_pseudo_gradient_covariance_matches_gauss_newton():
     returns[mask == 0.0] = 0.0
     h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec(
         spot_cost=1e-3, option_cost=5e-3))
-    want = jac.T @ h.dense() @ jac
+    want = jac.T @ inner_hessian_dense(h) @ jac
 
     n = 10_000
     samples = np.empty((n, 12))
