@@ -11,8 +11,12 @@ time and the pre-activation gradient at backward time. Summing the
 per-timestep outer products recovers the weight gradient exactly, which
 is the identity the Kronecker-factored curvature estimates rest on.
 
-Every operation validates that its output is finite; NaN or Inf anywhere
-is treated as a hard error, not a value.
+NaN or Inf anywhere is a hard error, not a value, and one rule checks
+for it. A forward-only tape (``record=False``) checks each operation's
+output as it is emitted. A recording tape is checked once, in
+:func:`backward`: a non-finite seed raises naming the first non-finite
+node the tape holds, and a non-finite parameter gradient raises naming
+the parameter.
 """
 
 from __future__ import annotations
@@ -52,42 +56,30 @@ class HookChannel:
     """Per-layer capture of timestep inputs and pre-activation gradients.
 
     ``activations[k]`` is the bias-augmented input of the k-th firing of
-    the layer; ``grads[k]`` is the gradient of the loss with respect to
-    the matching pre-activation. Gradients are recorded only while the
-    channel is armed by :func:`backward`.
+    the layer, appended at forward time; ``grads[k]`` is the gradient of
+    the loss with respect to the matching pre-activation. Gradients are
+    recorded only while the channel is armed by :func:`backward`, which
+    visits firings last first, so they are reversed on read.
     """
 
     def __init__(self, layer: str):
         self.layer = layer
-        self._firings: list[int] = []          # node ids in firing order
-        self._a: dict[int, np.ndarray] = {}
-        self._g: dict[int, np.ndarray] = {}
+        self.activations: list[np.ndarray] = []
+        self._grads: list[np.ndarray] = []     # last firing first
         self._armed = False
 
-    def _record_input(self, node_id: int, a: np.ndarray) -> None:
-        self._firings.append(node_id)
-        self._a[node_id] = a
-
-    def _record_grad(self, node_id: int, g: np.ndarray) -> None:
+    def _record_grad(self, g: np.ndarray) -> None:
         if self._armed:
-            self._g[node_id] = g
-
-    @property
-    def n_firings(self) -> int:
-        return len(self._firings)
-
-    @property
-    def activations(self) -> list[np.ndarray]:
-        return [self._a[i] for i in self._firings]
+            self._grads.append(g)
 
     @property
     def grads(self) -> list[np.ndarray]:
-        if len(self._g) != len(self._firings):
+        if len(self._grads) != len(self.activations):
             raise DiffError(
-                f"channel '{self.layer}' holds {len(self._g)} gradients for "
-                f"{len(self._firings)} firings; run backward with this channel hooked"
+                f"channel '{self.layer}' holds {len(self._grads)} gradients for "
+                f"{len(self.activations)} firings; run backward with this channel hooked"
             )
-        return [self._g[i] for i in self._firings]
+        return self._grads[::-1]
 
     def weight_gradient(self) -> Matrix64:
         """Sum of per-timestep outer products, equal to the tape gradient."""
@@ -101,13 +93,14 @@ class HookChannel:
 
 
 class Node:
-    __slots__ = ("tape", "idx", "value", "parents", "backward_fn", "grad",
+    __slots__ = ("tape", "idx", "op", "value", "parents", "backward_fn", "grad",
                  "needs_grad", "grad_owned")
 
-    def __init__(self, tape: "Tape", idx: int, value: np.ndarray,
+    def __init__(self, tape: "Tape", idx: int, op: str, value: np.ndarray,
                  parents: tuple, backward_fn, param: str | None):
         self.tape = tape
         self.idx = idx
+        self.op = op
         self.value = value
         self.parents = parents
         self.backward_fn = backward_fn
@@ -121,17 +114,13 @@ class Tape:
 
     With ``record=False`` the tape computes values (including hook input
     capture) but retains nothing, so no backward pass is possible; use it
-    for evaluation-only forward passes.
-
-    With ``validate=False`` per-operation finite checks are skipped. A
-    caller doing so must check the results it consumes (loss value,
-    gradients) and, on trouble, rebuild with validation on: the rebuild
-    is deterministic, so the failing node id is recovered exactly.
+    for evaluation-only forward passes. Such a tape checks that each
+    operation's output is finite as it is emitted. A recording tape
+    defers the check to :func:`backward`, which names the same node.
     """
 
-    def __init__(self, record: bool = True, validate: bool = True):
+    def __init__(self, record: bool = True):
         self.record = record
-        self.validate = validate
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
         self._n = 0
@@ -140,11 +129,10 @@ class Tape:
               op: str, param: str | None = None) -> Node:
         idx = self._n
         self._n += 1
-        if self.validate:
-            _ensure_finite(value, op, idx)
         if not self.record:
-            return Node(self, idx, value, (), None, param)
-        node = Node(self, idx, value, parents, backward_fn, param)
+            _ensure_finite(value, op, idx)
+            return Node(self, idx, op, value, (), None, param)
+        node = Node(self, idx, op, value, parents, backward_fn, param)
         self.nodes.append(node)
         return node
 
@@ -376,20 +364,16 @@ def affine(x: Node, w: Node, channel: HookChannel | None = None) -> Node:
     value = aug @ wv.T
     nx, nw = x.needs_grad, w.needs_grad
 
-    node_ref: list[Node] = []
-
     def backward_fn(g: np.ndarray):
         if channel is not None:
-            channel._record_grad(node_ref[0].idx, g)
+            channel._record_grad(g)
         dx = (g @ wv)[:, :-1] if nx else None
         dw = g.T @ aug if nw else None
         return dx, dw
 
-    node = tape._emit(value, (x, w), backward_fn, "affine")
-    node_ref.append(node)
     if channel is not None:
-        channel._record_input(node.idx, aug)
-    return node
+        channel.activations.append(aug)
+    return tape._emit(value, (x, w), backward_fn, "affine")
 
 
 def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = None) -> Node:
@@ -429,8 +413,6 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
     value[:, h_dim:] = c_new
     nx, nhc, nw = x.needs_grad, hc_prev.needs_grad, w.needs_grad
 
-    node_ref: list[Node] = []
-
     def backward_fn(g: np.ndarray):
         dh = g[:, :h_dim]
         # dc = dc_ext + dh * o * (1 - tanh(c)^2)
@@ -455,7 +437,7 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
         dtanh *= dc
         dtanh *= i_g
         if channel is not None:
-            channel._record_grad(node_ref[0].idx, d_pre)
+            channel._record_grad(d_pre)
         dx = d_hc = dw = None
         if nx or nhc:
             d_aug = d_pre @ wv
@@ -469,11 +451,9 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
             dw = d_pre.T @ aug
         return dx, d_hc, dw
 
-    node = tape._emit(value, (x, hc_prev, w), backward_fn, "lstm_cell")
-    node_ref.append(node)
     if channel is not None:
-        channel._record_input(node.idx, aug)
-    return node
+        channel.activations.append(aug)
+    return tape._emit(value, (x, hc_prev, w), backward_fn, "lstm_cell")
 
 
 def hedge_accumulate(action_nodes: Sequence[Node], returns: np.ndarray,
@@ -515,20 +495,27 @@ def backward(seed: Node, hooks: Iterable[HookChannel] = ()) -> dict[str, Matrix6
     """Reverse traversal from a scalar seed; returns parameter gradients.
 
     Channels in ``hooks`` record pre-activation gradients for their
-    affine firings. Nodes are released as they are consumed, so a tape
-    cannot be differentiated twice.
+    affine firings. A non-finite seed raises naming the first non-finite
+    node on the tape, a non-finite gradient names its parameter. Nodes
+    are released as they are consumed and the tape lets go of its nodes
+    at the end, so a tape cannot be differentiated twice.
     """
     tape = seed.tape
     if not tape.record:
         raise DiffError("backward on a non-recording tape")
+    if not tape.nodes:
+        raise DiffError("backward on a tape that was already differentiated")
     if seed.value.shape != (1, 1):
         raise DiffError(f"backward seed must be scalar (1, 1), got {seed.value.shape}")
 
     hooks = tuple(hooks)
     for ch in hooks:
         ch._armed = True
-        ch._g.clear()
+        ch._grads.clear()
     try:
+        if not math.isfinite(seed.value[0, 0]):
+            for node in tape.nodes:
+                _ensure_finite(node.value, node.op, node.idx)
         seed.grad = np.ones((1, 1))
         for node in reversed(tape.nodes[: seed.idx + 1]):
             if node.grad is None or node.backward_fn is None:
@@ -551,12 +538,19 @@ def backward(seed: Node, hooks: Iterable[HookChannel] = ()) -> dict[str, Matrix6
             node.grad = None
             node.backward_fn = None
             node.parents = ()
+
+        out: dict[str, Matrix64] = {}
+        for name, node in tape.params.items():
+            out[name] = node.grad if node.grad is not None else np.zeros_like(node.value)
+            node.grad = None
+            if not math.isfinite(float(out[name].sum())):
+                raise DiffError(f"non-finite gradient of parameter '{name}'")
+        return out
     finally:
         for ch in hooks:
             ch._armed = False
-
-    out: dict[str, Matrix64] = {}
-    for name, node in tape.params.items():
-        out[name] = node.grad if node.grad is not None else np.zeros_like(node.value)
-        node.grad = None
-    return out
+        # Every node points at the tape: dropping the tape's references
+        # breaks the cycle, so the tape is freed as soon as its last node
+        # is, without waiting for the cyclic garbage collector.
+        tape.nodes = []
+        tape.params = {}

@@ -5,8 +5,9 @@ cliquet, costs, policy, both optimizer settings, data sizes, and the
 training schedule. All randomness derives from the single root seed
 through tagged streams, so a config determines its datasets, its
 initialization, and its optimization trajectory bit for bit. A config is
-checked when it is built: a value the training loop cannot run with
-raises :class:`ConfigError` there, not an error deep inside training.
+checked when it is built: an unknown key, or a value the training loop
+cannot run with, raises :class:`ConfigError` there, not an error deep
+inside training.
 The harness writes a manifest, metrics, a checkpoint and evaluation
 exports; simulated paths stay in memory.
 
@@ -132,6 +133,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _known(mapping: dict, keys: str, where: str) -> dict:
+    """``mapping`` itself, once each of its keys is one of the space-separated
+    ``keys``: a misspelled key would otherwise fall back to its default."""
+    unknown = [key for key in mapping if key not in keys.split()]
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
+    return mapping
+
+
 def load_config(path, optimizer_override: str | None = None) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -147,7 +157,10 @@ def load_config(path, optimizer_override: str | None = None) -> ExperimentConfig
 
 def build_config(raw: dict, optimizer_override: str | None = None) -> ExperimentConfig:
     try:
-        m = _require(raw, "market", "config")
+        _known(raw, "market grid cliquet costs objective policy optimizer data training seed",
+               "config")
+        m = _known(_require(raw, "market", "config"),
+                   "x0 v0 kappa theta xi rho dt substeps", "market")
         market = mk.HestonParams(
             x0=float(m.get("x0", 1.0)), v0=float(m.get("v0", 0.0625)),
             kappa=float(m.get("kappa", 8.0)), theta=float(m.get("theta", 0.0625)),
@@ -157,20 +170,21 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         grid_map = {int(k): [float(x) for x in v]
                     for k, v in _require(raw, "grid", "config").items()}
         grid = ct.GridSpec.from_ratio_map(grid_map)
-        cl = _require(raw, "cliquet", "config")
+        cl = _known(_require(raw, "cliquet", "config"), "cap resets", "cliquet")
         cliquet = ct.CliquetSpec(cap=float(cl["cap"]),
                                  resets=tuple(int(r) for r in cl["resets"]))
-        co = raw.get("costs", {})
+        co = _known(raw.get("costs", {}), "spot option l2_multiplier", "costs")
         costs = ct.CostSpec(spot_cost=float(co.get("spot", 1e-4)),
                             option_cost=float(co.get("option", 1e-2)),
                             l2_multiplier=float(co.get("l2_multiplier", 8.0)))
-        gamma = float(raw.get("objective", {}).get("risk_aversion", 1000.0))
-        p = raw.get("policy", {})
+        ob = _known(raw.get("objective", {}), "risk_aversion", "objective")
+        gamma = float(ob.get("risk_aversion", 1000.0))
+        p = _known(raw.get("policy", {}), "hidden blocks head_scale", "policy")
         policy_cfg = pol.PolicyConfig(
             action_dim=grid.d, hidden=int(p.get("hidden", 32)),
             n_blocks=int(p.get("blocks", 4)),
             head_scale=float(p.get("head_scale", 1e-3)))
-        o = raw.get("optimizer", {})
+        o = _known(raw.get("optimizer", {}), "name kfac adam", "optimizer")
         name = optimizer_override or o.get("name", "kfac")
         if name not in ("kfac", "adam"):
             raise ConfigError(f"unknown optimizer '{name}'")
@@ -186,8 +200,6 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
-    if cliquet.maturity != max(cliquet.resets):
-        raise ConfigError("cliquet maturity must be the last reset")
     for opt in grid.entries:
         if opt.tau_steps > cliquet.maturity:
             raise ConfigError(f"grid option with tau={opt.tau_steps} exceeds the horizon")
@@ -287,7 +299,7 @@ def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
     parameters (weight matrices).
     """
     n = min(n_probe, ds.n_paths)
-    res = pol.rollout(params, ds.features[:n], ds.mask, capture=True, validate=False)
+    res = pol.rollout(params, ds.features[:n], ds.mask, capture=True)
     loss = ct.batch_objective(res.action_nodes, ds.returns[:n], ds.payoff[:n],
                               gamma, costs)
     dc.backward(loss, hooks=res.channels.values())
@@ -322,8 +334,13 @@ class TrainResult:
 def _train_iteration_kfac(cfg, params, kfac, ds_train, idx, iteration):
     gamma, costs = cfg.risk_aversion, cfg.costs
     capture = kfac.wants_input_stats
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask,
-                      capture=capture, validate=False)
+    res = pol.rollout(params, ds_train.features[idx], ds_train.mask, capture=capture)
+    # Differentiate first: backward is where a non-finite batch raises, so
+    # the factor updates below never see its captures.
+    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
+                                   ds_train.payoff[idx], gamma, costs)
+    loss = float(loss_node.value[0, 0])
+    grads = dc.backward(loss_node)
     if capture:
         kfac.update_input_stats(res.channels, batch_size=idx.size)
 
@@ -334,19 +351,13 @@ def _train_iteration_kfac(cfg, params, kfac, ds_train, idx, iteration):
     feats_row = ds_train.features[row:row + 1]
 
     def pseudo_rollout(p):
-        return pol.rollout(p, feats_row, ds_train.mask, capture=True, validate=False)
+        return pol.rollout(p, feats_row, ds_train.mask, capture=True)
 
     noise = rs.stream(cfg.seed, rs.PSEUDO_NOISE, iteration)
     pseudo = op.pseudo_backward(params, pseudo_rollout, hessian, noise)
     kfac.update_output_stats(pseudo)
     if kfac.wants_eigenbasis:
         kfac.update_eigenbasis()
-
-    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
-                                   ds_train.payoff[idx], gamma, costs)
-    loss = float(loss_node.value[0, 0])
-    grads = dc.backward(loss_node)
-    _check_finite_training(cfg, params, ds_train, idx, loss, grads)
     pre = kfac.precondition(grads)
     eta = kfac.apply_step(params, pre, grads)
     return loss, eta
@@ -354,27 +365,13 @@ def _train_iteration_kfac(cfg, params, kfac, ds_train, idx, iteration):
 
 def _train_iteration_adam(cfg, params, adam, ds_train, idx):
     gamma, costs = cfg.risk_aversion, cfg.costs
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask, validate=False)
+    res = pol.rollout(params, ds_train.features[idx], ds_train.mask)
     loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
                                    ds_train.payoff[idx], gamma, costs)
     loss = float(loss_node.value[0, 0])
     grads = dc.backward(loss_node)
-    _check_finite_training(cfg, params, ds_train, idx, loss, grads)
     eta = adam.apply_step(params, grads)
     return loss, eta
-
-
-def _check_finite_training(cfg, params, ds_train, idx, loss, grads):
-    """Deferred validation: if anything came out non-finite, rebuild the
-    iteration eagerly so the failing tape node is named exactly."""
-    ok = math.isfinite(loss) and all(math.isfinite(float(g.sum())) for g in grads.values())
-    if ok:
-        return
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask, validate=True)
-    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
-                                   ds_train.payoff[idx], cfg.risk_aversion, cfg.costs)
-    dc.backward(loss_node)
-    raise dc.DiffError("non-finite training state (validated rerun did not localize it)")
 
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
@@ -401,6 +398,9 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         if kind != cfg.optimizer_name:
             raise ckpt.CheckpointError(
                 f"checkpoint holds {kind} state, config wants {cfg.optimizer_name}")
+        if opt_version != optimizer.STATE_VERSION:
+            raise ckpt.CheckpointError(f"checkpoint holds {kind} state version "
+                                       f"{opt_version}, this code reads {optimizer.STATE_VERSION}")
         for name in params.values:
             params.values[name] = records[name].copy()
         optimizer.load_state_records(records)

@@ -164,13 +164,11 @@ def pseudo_backward(params: pol.PolicyParams, rollout_fn, hessian: ct.InnerHessi
     d = result.action_nodes[0].value.shape[1]
     if hessian.r_vec.size != n_steps * d:
         raise ValueError("inner Hessian size does not match the unrolled actions")
-    s = ct.sample_pseudo_target(hessian, rng).reshape(n_steps, d)
-    tape = result.tape
-    loss = None
-    for t, u_t in enumerate(result.action_nodes):
-        term = dc.total(dc.multiply(u_t, tape.constant(s[t:t + 1])))
-        loss = term if loss is None else dc.add(loss, term)
-    grads = dc.backward(loss, hooks=result.channels.values())
+    # <s, u> is the gains column of the fused hedging aggregate with the
+    # targets as returns and zero costs.
+    s = ct.sample_pseudo_target(hessian, rng).reshape(1, n_steps, d)
+    sums = dc.hedge_accumulate(result.action_nodes, s, np.zeros(d))
+    grads = dc.backward(dc.total(dc.slice_cols(sums, 0, 1)), hooks=result.channels.values())
     step_grads = {name: chan.grads for name, chan in result.channels.items()}
     return PseudoGradient(grads=grads, step_grads=step_grads)
 
@@ -209,7 +207,7 @@ class KfacOptimizer:
         for name, curve in self.blocks.items():
             chan = channels[name]
             stacked = np.concatenate(chan.activations, axis=0)
-            n_steps = chan.n_firings
+            n_steps = len(chan.activations)
             contrib = stacked.T @ stacked / (batch_size * np.sqrt(n_steps))
             curve.a_cov *= beta
             curve.a_cov += (1.0 - beta) * contrib

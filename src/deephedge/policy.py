@@ -130,14 +130,14 @@ class RolloutResult:
 
 
 def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
-            capture: bool = False, record: bool = True,
-            validate: bool = True) -> RolloutResult:
+            capture: bool = False, record: bool = True) -> RolloutResult:
     """Unroll the policy over all steps of a feature tensor (n, T, f).
 
     ``capture`` attaches a hook channel to every Kronecker block so that
     per-step inputs (and, after a backward pass, pre-activation
-    gradients) are recorded. ``record=False`` runs forward-only;
-    ``validate=False`` defers finite checks to the caller.
+    gradients) are recorded. ``record=False`` runs forward-only and
+    raises ``DiffError`` at the first op with a non-finite output; a
+    recorded unroll is checked for finite values by ``dc.backward``.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -145,7 +145,7 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         raise ValueError(f"feature width {n_feat} != config {config.n_features}")
     if mask.shape != (n_steps, config.action_dim):
         raise ValueError(f"mask shape {mask.shape} unexpected")
-    tape = dc.Tape(record=record, validate=validate)
+    tape = dc.Tape(record=record)
     params_nodes = {name: tape.parameter(name, value) for name, value in params.values.items()}
     channels = {name: dc.HookChannel(name) for name in params.kronecker_names} if capture else {}
     state = _zero_state(tape, config, n)

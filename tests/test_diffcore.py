@@ -112,7 +112,7 @@ def test_affine_gradient_and_hook_capture():
     assert np.abs(grads["x"] - fd["x"]).max() < 1e-6
     assert np.abs(grads["w"] - fd["w"]).max() < 1e-6
     # hook reconstruction equals the tape gradient
-    assert ch.n_firings == 1
+    assert len(ch.activations) == 1
     assert np.abs(ch.weight_gradient() - grads["w"]).max() < 1e-12
     # the recorded input carries the homogeneous 1
     assert np.allclose(ch.activations[0][:, -1], 1.0)
@@ -187,7 +187,7 @@ def test_hook_sum_identity_two_layer_unroll():
         acc = s if acc is None else dc.add(acc, s)
     grads = dc.backward(acc, hooks=[ch1, ch2])
 
-    assert ch1.n_firings == 4 and ch2.n_firings == 4
+    assert len(ch1.activations) == 4 and len(ch2.activations) == 4
     assert np.abs(ch1.weight_gradient() - grads["w1"]).max() < 1e-12
     assert np.abs(ch2.weight_gradient() - grads["w2"]).max() < 1e-12
 
@@ -217,11 +217,37 @@ def test_shape_mismatch_raises():
         dc.add(a, tape.constant(np.ones((3, 2))))
 
 
-def test_non_finite_output_raises_with_node_id():
+def _overflowing_graph(tape):
+    # exp(800) overflows at the symexp, node 2; the sum after it is node 4.
+    x = tape.parameter("x", [[1.0, 2.0]])
+    big = tape.constant([[800.0, 0.0]])
+    return dc.total(dc.multiply(x, dc.symexp(big)))
+
+
+def test_forward_only_tape_raises_at_the_non_finite_op():
+    with pytest.raises(dc.DiffError, match=r"'symexp' at tape node 2$"):
+        _overflowing_graph(dc.Tape(record=False))
+
+
+def test_recording_tape_names_the_same_node_at_backward():
+    with pytest.raises(dc.DiffError) as forward_only:
+        _overflowing_graph(dc.Tape(record=False))
+    loss = _overflowing_graph(dc.Tape())  # no check while recording
+    with pytest.raises(dc.DiffError) as recorded:
+        dc.backward(loss)
+    assert str(recorded.value) == str(forward_only.value)
+
+
+def test_overflowing_gradient_names_the_parameter():
+    # symexp(1e10 x) at x = 7e-8 is about e^700, finite; its derivative is
+    # 1e10 times that and overflows.
     tape = dc.Tape()
-    x = tape.constant([[800.0]])
-    with pytest.raises(dc.DiffError, match="node"):
-        dc.symexp(x)  # exp(800) overflows
+    x = tape.parameter("x", [[7e-8]])
+    loss = dc.total(dc.symexp(dc.scale(x, 1e10)))
+    assert np.isfinite(loss.value).all()
+    with np.errstate(over="ignore"), pytest.raises(dc.DiffError,
+                                                  match="gradient of parameter 'x'"):
+        dc.backward(loss)
 
 
 def test_backward_requires_scalar_seed():

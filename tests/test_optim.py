@@ -24,14 +24,13 @@ def test_update_a_degenerate_ema_replaces():
     width = params.values["embed"].shape[1]
     chan = dc.HookChannel("embed")
     acts = [rng.normal(size=(5, width)) for _ in range(3)]
-    for i, a in enumerate(acts):
-        chan._record_input(i, a)
+    chan.activations.extend(acts)
     channels = {name: dc.HookChannel(name) for name in params.kronecker_names}
     channels["embed"] = chan
     for name, c in channels.items():
         if name != "embed":
             shape = params.values[name].shape[1]
-            c._record_input(0, rng.normal(size=(5, shape)))
+            c.activations.append(rng.normal(size=(5, shape)))
     kfac.update_input_stats(channels, batch_size=5)
     want = sum(a.T @ a for a in acts) / (5 * np.sqrt(3))
     got = kfac.blocks["embed"].a_cov
@@ -47,8 +46,7 @@ def test_update_a_constant_unit_activation():
         chan = dc.HookChannel(name)
         e1 = np.zeros((1, width))
         e1[0, 0] = 1.0
-        for t in range(4):
-            chan._record_input(t, e1)
+        chan.activations.extend([e1] * 4)
         channels[name] = chan
     kfac.update_input_stats(channels, batch_size=1)
     a = kfac.blocks["embed"].a_cov
@@ -65,8 +63,7 @@ def test_a_stays_symmetric_psd_under_random_updates():
         for name in params.kronecker_names:
             width = params.values[name].shape[1]
             chan = dc.HookChannel(name)
-            for t in range(3):
-                chan._record_input(t, rng.normal(size=(4, width)))
+            chan.activations.extend(rng.normal(size=(4, width)) for _ in range(3))
             channels[name] = chan
         kfac.update_input_stats(channels, batch_size=4)
     for curve in kfac.blocks.values():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -158,8 +161,28 @@ def test_hook_channels_record_every_step():
     loss = ct.batch_objective(result.action_nodes, returns, payoff, 1000.0, ct.CostSpec())
     grads = dc.backward(loss, hooks=result.channels.values())
     for name, channel in result.channels.items():
-        assert channel.n_firings == 6
+        assert len(channel.activations) == len(channel.grads) == 6
         assert np.abs(channel.weight_gradient() - grads[name]).max() < 1e-12
+
+
+def test_tape_is_freed_without_the_cyclic_collector():
+    # Nodes point at their tape; after backward the tape must let go of its
+    # nodes, so reference counting alone frees the unroll.
+    rng = np.random.default_rng(10)
+    params = pol.init_params(TINY, rng)
+    features, mask, returns, payoff = _random_problem(rng, TINY)
+    gc.disable()
+    try:
+        result = pol.rollout(params, features, mask)
+        mid = weakref.ref(result.tape.nodes[len(result.tape.nodes) // 2].value)
+        loss = ct.batch_objective(result.action_nodes, returns, payoff, 1000.0, ct.CostSpec())
+        dc.backward(loss)
+        with pytest.raises(dc.DiffError, match="already differentiated"):
+            dc.backward(loss)
+        del result, loss
+        assert mid() is None
+    finally:
+        gc.enable()
 
 
 def test_rollout_validates_shapes():
