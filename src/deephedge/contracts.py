@@ -270,9 +270,6 @@ class InnerHessian:
     r_vec: np.ndarray   # (T * d,) concatenated returns, masked entries zero
     diag: np.ndarray    # (T * d,) = 2 * c_tilde tiled over steps
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.gamma * self.r_vec * (self.r_vec @ x) + self.diag * x
-
 
 def inner_hessian(path_returns: np.ndarray, gamma: float, costs: CostSpec) -> InnerHessian:
     """Build H for one path; ``path_returns`` is the (T, d) masked matrix."""

@@ -24,7 +24,9 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import time
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -120,10 +122,12 @@ class ExperimentConfig:
         }
 
     def identity_hash(self) -> int:
-        """Hash of everything that defines the experiment's data and model;
-        the optimizer choice is excluded so paired runs share checkpoints."""
+        """Hash of everything that defines the experiment's data and model.
+        The optimizer choice is excluded so paired runs share checkpoints,
+        and the iteration budget so a run can be resumed to a longer one."""
         d = self.as_dict()
         d.pop("optimizer")
+        d["training"].pop("max_iterations")
         return ckpt.config_hash(d)
 
 
@@ -140,6 +144,27 @@ def _known(mapping: dict, keys: str, where: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
     return mapping
+
+
+def _section(cls, raw: dict, where: str):
+    """``cls(**raw)`` under one type rule: a float field takes ``float(v)``,
+    an int field needs an integer and a bool field a bool, so that no value
+    is truncated or reaches the training loop as a string. A key ``cls``
+    does not know is left for it to reject."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    kinds = typing.get_type_hints(cls)
+    values = {}
+    for key, v in raw.items():
+        kind = kinds.get(key)
+        if kind is bool and not isinstance(v, bool):
+            raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
+        if kind is int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
+        if kind is float or (kind == float | None and v is not None):
+            v = float(v)
+        values[key] = v
+    return cls(**values)
 
 
 def load_config(path, optimizer_override: str | None = None) -> ExperimentConfig:
@@ -188,13 +213,10 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         name = optimizer_override or o.get("name", "kfac")
         if name not in ("kfac", "adam"):
             raise ConfigError(f"unknown optimizer '{name}'")
-        kfac = op.KfacConfig(**o.get("kfac", {}))
-        adam = op.AdamConfig(**o.get("adam", {}))
-        dcfg = DataConfig(**{k: int(v) for k, v in raw.get("data", {}).items()})
-        tr_raw = dict(raw.get("training", {}))
-        if "val_target" in tr_raw and tr_raw["val_target"] is not None:
-            tr_raw["val_target"] = float(tr_raw["val_target"])
-        tcfg = TrainingConfig(**tr_raw)
+        kfac = _section(op.KfacConfig, o.get("kfac", {}), "optimizer.kfac")
+        adam = _section(op.AdamConfig, o.get("adam", {}), "optimizer.adam")
+        dcfg = _section(DataConfig, raw.get("data", {}), "data")
+        tcfg = _section(TrainingConfig, raw.get("training", {}), "training")
         seed = int(_require(raw, "seed", "config"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -391,6 +413,10 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     else:
         optimizer = op.AdamOptimizer(params, cfg.adam)
     start = 0
+    # the divergence baseline is the run's first validation loss, so a
+    # resumed run reads it, and the count of evaluations above it, back
+    initial_val = math.nan
+    divergence_run = 0
     if resume_from is not None:
         records, cfg_hash, kind, opt_version = ckpt.load_records(resume_from)
         if cfg_hash != cfg.identity_hash():
@@ -405,6 +431,8 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             params.values[name] = records[name].copy()
         optimizer.load_state_records(records)
         start = optimizer.step_count
+        initial_val = float(records["train/initial_val"][0, 0])
+        divergence_run = int(records["train/divergence_run"][0, 0])
 
     manifest = {
         "config": cfg.as_dict(),
@@ -423,8 +451,6 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     batches_per_epoch = ds_train.n_paths // tcfg.batch_size
     order = None
     order_epoch = -1
-    initial_val = None
-    divergence_run = 0
     reached = False
     target_iteration = None
     val_loss = float("nan")
@@ -458,7 +484,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             if it % tcfg.val_every == 0:
                 new_val = dataset_objective(params, ds_val, gamma, costs)
                 val_loss = new_val
-                if initial_val is None:
+                if math.isnan(initial_val):
                     initial_val = new_val
                 if new_val > tcfg.divergence_factor * initial_val:
                     divergence_run += 1
@@ -485,6 +511,8 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     ckpt_path = outdir / "checkpoint.dhck"
     records = dict(params.values)
     records.update(optimizer.state_records())
+    records["train/initial_val"] = np.array([[initial_val]])
+    records["train/divergence_run"] = np.array([[float(divergence_run)]])
     ckpt.save_records(ckpt_path, records, cfg.identity_hash(),
                       cfg.optimizer_name, optimizer.STATE_VERSION)
     final_val = val_loss if math.isfinite(val_loss) else dataset_objective(

@@ -14,9 +14,9 @@ scheme approximates.
 Damping shrinks each block's eigen-spectrum linearly toward its own mean
 scale (trace preserving) instead of adding a shared ridge. Step sizes
 come from a decaying trust region on the preconditioned-gradient inner
-product. RMSNorm gains are not matrices; they fall back to the same
-scheme with an identity eigenbasis, which reduces to a damped diagonal
-method.
+product. An RMSNorm gain is a block too, but with no Kronecker factors:
+its eigenbases stay at the identity, so D holds the elementwise second
+moments and the block reduces to a damped diagonal method.
 """
 
 from __future__ import annotations
@@ -86,38 +86,34 @@ class AdamConfig:
 
 
 @dataclass
-class LayerCurvature:
-    """State of one Kronecker block for a weight of shape (n_out, n_in + 1)."""
+class CurvatureBlock:
+    """Curvature state of one parameter of shape (n_out, n_in).
 
-    a_cov: np.ndarray     # (n_in + 1, n_in + 1)
-    g_cov: np.ndarray     # (n_out, n_out)
-    q_a: np.ndarray       # eigenvectors of a_cov
-    q_g: np.ndarray       # eigenvectors of g_cov
-    scale: np.ndarray     # D: (n_out, n_in + 1) second moments in the eigenbasis
-    momentum: np.ndarray  # (n_out, n_in + 1)
+    A weight matrix (n_in counts the bias column) keeps its Kronecker
+    factors A and G and their eigenbases; an RMSNorm gain has no factors
+    (``a_cov`` and ``g_cov`` are None) and keeps identity bases.
+    """
 
-    @classmethod
-    def fresh(cls, n_out: int, n_in_aug: int) -> "LayerCurvature":
-        return cls(
-            a_cov=np.zeros((n_in_aug, n_in_aug)),
-            g_cov=np.zeros((n_out, n_out)),
-            q_a=np.eye(n_in_aug),
-            q_g=np.eye(n_out),
-            scale=np.zeros((n_out, n_in_aug)),
-            momentum=np.zeros((n_out, n_in_aug)),
-        )
-
-
-@dataclass
-class DiagCurvature:
-    """Diagonal-fallback state for non-matrix parameters (RMSNorm gains)."""
-
-    scale: np.ndarray
-    momentum: np.ndarray
+    q_a: np.ndarray                 # (n_in, n_in) eigenvectors of a_cov
+    q_g: np.ndarray                 # (n_out, n_out) eigenvectors of g_cov
+    scale: np.ndarray               # D: (n_out, n_in) second moments in the eigenbasis
+    momentum: np.ndarray            # (n_out, n_in)
+    a_cov: np.ndarray | None = None  # (n_in, n_in)
+    g_cov: np.ndarray | None = None  # (n_out, n_out)
 
     @classmethod
-    def fresh(cls, shape) -> "DiagCurvature":
-        return cls(scale=np.zeros(shape), momentum=np.zeros(shape))
+    def fresh(cls, shape: tuple[int, int], factored: bool) -> "CurvatureBlock":
+        n_out, n_in = shape
+        return cls(q_a=np.eye(n_in), q_g=np.eye(n_out),
+                   scale=np.zeros(shape), momentum=np.zeros(shape),
+                   a_cov=np.zeros((n_in, n_in)) if factored else None,
+                   g_cov=np.zeros((n_out, n_out)) if factored else None)
+
+    @property
+    def record_fields(self) -> tuple[str, ...]:
+        """The state a checkpoint holds; a gain's identity bases are not saved."""
+        factors = ("a_cov", "g_cov", "q_a", "q_g") if self.a_cov is not None else ()
+        return factors + ("scale", "momentum")
 
 
 def _sym_eigh_with_sign(m: np.ndarray) -> np.ndarray:
@@ -180,13 +176,9 @@ class KfacOptimizer:
         self.config = config
         self.step_count = 0
         self.rho_tr = config.tr_init
-        self.blocks: dict[str, LayerCurvature] = {}
-        self.diags: dict[str, DiagCurvature] = {}
-        for name in params.kronecker_names:
-            n_out, n_in_aug = params.values[name].shape
-            self.blocks[name] = LayerCurvature.fresh(n_out, n_in_aug)
-        for name in params.diagonal_names:
-            self.diags[name] = DiagCurvature.fresh(params.values[name].shape)
+        factored = set(params.kronecker_names)
+        self.blocks = {name: CurvatureBlock.fresh(value.shape, name in factored)
+                       for name, value in params.values.items()}
 
     # -- cadence ------------------------------------------------------------
 
@@ -204,55 +196,52 @@ class KfacOptimizer:
     def update_input_stats(self, channels: dict[str, dc.HookChannel], batch_size: int) -> None:
         """EMA of the activation second moment, scaled by sqrt(T) overall."""
         beta = self.config.beta_factor
-        for name, curve in self.blocks.items():
+        for name, block in self.blocks.items():
+            if block.a_cov is None:
+                continue
             chan = channels[name]
             stacked = np.concatenate(chan.activations, axis=0)
             n_steps = len(chan.activations)
             contrib = stacked.T @ stacked / (batch_size * np.sqrt(n_steps))
-            curve.a_cov *= beta
-            curve.a_cov += (1.0 - beta) * contrib
+            block.a_cov *= beta
+            block.a_cov += (1.0 - beta) * contrib
 
     def update_output_stats(self, pseudo: PseudoGradient) -> None:
         """EMA of pre-activation pseudo-gradient moments and of the
         eigenbasis second moments (elementwise square after rotation)."""
         beta_f = self.config.beta_factor
         beta_d = self.config.beta_scale
-        for name, curve in self.blocks.items():
-            gs = pseudo.step_grads[name]
-            stacked = np.concatenate(gs, axis=0)
-            n_steps = len(gs)
-            contrib = stacked.T @ stacked / np.sqrt(n_steps)
-            curve.g_cov *= beta_f
-            curve.g_cov += (1.0 - beta_f) * contrib
-            rotated = curve.q_g.T @ pseudo.grads[name] @ curve.q_a
-            curve.scale *= beta_d
-            curve.scale += (1.0 - beta_d) * rotated ** 2
-        for name, diag in self.diags.items():
-            diag.scale *= beta_d
-            diag.scale += (1.0 - beta_d) * pseudo.grads[name] ** 2
+        for name, block in self.blocks.items():
+            if block.g_cov is not None:
+                gs = pseudo.step_grads[name]
+                stacked = np.concatenate(gs, axis=0)
+                contrib = stacked.T @ stacked / np.sqrt(len(gs))
+                block.g_cov *= beta_f
+                block.g_cov += (1.0 - beta_f) * contrib
+            rotated = block.q_g.T @ pseudo.grads[name] @ block.q_a
+            block.scale *= beta_d
+            block.scale += (1.0 - beta_d) * rotated ** 2
 
     def update_eigenbasis(self) -> None:
-        for curve in self.blocks.values():
-            curve.q_a = _sym_eigh_with_sign(curve.a_cov)
-            curve.q_g = _sym_eigh_with_sign(curve.g_cov)
+        for block in self.blocks.values():
+            if block.a_cov is not None:
+                block.q_a = _sym_eigh_with_sign(block.a_cov)
+                block.q_g = _sym_eigh_with_sign(block.g_cov)
 
     # -- preconditioning and the step ----------------------------------------
 
     def precondition(self, grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Rotate into the eigenbasis, divide by the damped scales, rotate
-        back; diagonal-fallback parameters divide elementwise."""
+        """Rotate into each block's eigenbasis, divide by the damped scales,
+        rotate back; a gain's identity bases make this an elementwise
+        division."""
         rho = self.config.shrinkage
         out: dict[str, np.ndarray] = {}
-        for name, curve in self.blocks.items():
-            if curve.scale.mean() <= 0.0:
+        for name, block in self.blocks.items():
+            if block.scale.mean() <= 0.0:
                 raise OptimError(f"dead curvature block '{name}': mean scale is zero")
-            rotated = curve.q_g.T @ grads[name] @ curve.q_a
-            rotated /= damped_scale(curve.scale, rho)
-            out[name] = curve.q_g @ rotated @ curve.q_a.T
-        for name, diag in self.diags.items():
-            if diag.scale.mean() <= 0.0:
-                raise OptimError(f"dead curvature block '{name}': mean scale is zero")
-            out[name] = grads[name] / damped_scale(diag.scale, rho)
+            rotated = block.q_g.T @ grads[name] @ block.q_a
+            rotated /= damped_scale(block.scale, rho)
+            out[name] = block.q_g @ rotated @ block.q_a.T
         return out
 
     def apply_step(self, params: pol.PolicyParams, preconditioned: dict[str, np.ndarray],
@@ -268,23 +257,17 @@ class KfacOptimizer:
                       self.config.eta_max)
         self.rho_tr *= self.config.tr_decay
         beta = self.config.beta_momentum
-        for name, curve in self.blocks.items():
-            curve.momentum *= beta
-            curve.momentum += preconditioned[name]
-            params.values[name] -= eta * curve.momentum
-        for name, diag in self.diags.items():
-            diag.momentum *= beta
-            diag.momentum += preconditioned[name]
-            params.values[name] -= eta * diag.momentum
+        for name, block in self.blocks.items():
+            block.momentum *= beta
+            block.momentum += preconditioned[name]
+            params.values[name] -= eta * block.momentum
         self.step_count += 1
         return eta
 
     def max_damped_scale(self) -> float:
         """Largest damped eigen-scale across blocks (preconditioner extreme)."""
         rho = self.config.shrinkage
-        tops = [damped_scale(c.scale, rho).max() for c in self.blocks.values()]
-        tops += [damped_scale(d.scale, rho).max() for d in self.diags.values()]
-        return float(max(tops))
+        return float(max(damped_scale(b.scale, rho).max() for b in self.blocks.values()))
 
     # -- serialization ---------------------------------------------------------
 
@@ -293,31 +276,17 @@ class KfacOptimizer:
     def state_records(self) -> dict[str, np.ndarray]:
         out = {"opt/rho_tr": np.array([[self.rho_tr]]),
                "opt/step": np.array([[float(self.step_count)]])}
-        for name, c in self.blocks.items():
-            out[f"opt/{name}/a_cov"] = c.a_cov
-            out[f"opt/{name}/g_cov"] = c.g_cov
-            out[f"opt/{name}/q_a"] = c.q_a
-            out[f"opt/{name}/q_g"] = c.q_g
-            out[f"opt/{name}/scale"] = c.scale
-            out[f"opt/{name}/momentum"] = c.momentum
-        for name, d in self.diags.items():
-            out[f"opt/{name}/scale"] = d.scale
-            out[f"opt/{name}/momentum"] = d.momentum
+        for name, block in self.blocks.items():
+            for field in block.record_fields:
+                out[f"opt/{name}/{field}"] = getattr(block, field)
         return out
 
     def load_state_records(self, records: dict[str, np.ndarray]) -> None:
         self.rho_tr = float(records["opt/rho_tr"][0, 0])
         self.step_count = int(records["opt/step"][0, 0])
-        for name, c in self.blocks.items():
-            c.a_cov = records[f"opt/{name}/a_cov"]
-            c.g_cov = records[f"opt/{name}/g_cov"]
-            c.q_a = records[f"opt/{name}/q_a"]
-            c.q_g = records[f"opt/{name}/q_g"]
-            c.scale = records[f"opt/{name}/scale"]
-            c.momentum = records[f"opt/{name}/momentum"]
-        for name, d in self.diags.items():
-            d.scale = records[f"opt/{name}/scale"]
-            d.momentum = records[f"opt/{name}/momentum"]
+        for name, block in self.blocks.items():
+            for field in block.record_fields:
+                setattr(block, field, records[f"opt/{name}/{field}"])
 
 
 class AdamOptimizer:

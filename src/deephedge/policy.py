@@ -11,8 +11,8 @@ unroll.
 Every affine layer is one bias-augmented weight matrix and forms one
 Kronecker curvature block; an LSTM cell's stacked gate matrix is a
 single block with one hook channel on the concatenated pre-activations.
-RMSNorm gains are the only non-matrix parameters and fall back to a
-diagonal curvature treatment.
+RMSNorm gains are the only parameters with no Kronecker factors; their
+curvature blocks keep identity eigenbases, a damped diagonal method.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class PolicyParams:
     @property
     def kronecker_names(self) -> list[str]:
         return [n for n in self.values if not n.endswith(".gain")]
-
-    @property
-    def diagonal_names(self) -> list[str]:
-        return [n for n in self.values if n.endswith(".gain")]
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.config, {k: v.copy() for k, v in self.values.items()})

@@ -344,16 +344,6 @@ def test_inner_hessian_gamma_zero_is_diagonal():
     assert np.array_equal(inner_hessian_dense(h), np.diag(h.diag))
 
 
-def test_inner_hessian_matvec_matches_dense():
-    rng = np.random.default_rng(12)
-    r = rng.normal(size=(4, 3))
-    h = ct.inner_hessian(r, 500.0, ct.CostSpec())
-    dense = inner_hessian_dense(h)
-    for _ in range(5):
-        x = rng.normal(size=12)
-        assert np.abs(h.matvec(x) - dense @ x).max() < 1e-12
-
-
 def test_inner_hessian_positive_definite():
     rng = np.random.default_rng(13)
     r = rng.normal(size=(5, 2))

@@ -1,5 +1,6 @@
 import copy
 
+import numpy as np
 import pytest
 
 from deephedge import checkpoint as ckpt
@@ -62,10 +63,30 @@ def test_toy_config_builds():
     ("objective.risk_aversoin", 10.0),
     ("cliquet.reset", [7]),
     ("optimizer.kfca", {}),
+    # values of the wrong type: truncated, or passed on to fail inside train
+    ("training.batch_size", 2.5),
+    ("training.val_every", 1.5),
+    ("training.divergence_factor", "ten"),
+    ("training.divergence_patience", True),
+    ("data.n_train", 64.9),
+    ("data.n_val", "32"),
+    ("optimizer.kfac.n_cov", 5.0),
+    ("optimizer.kfac.identity_basis", "yes"),
+    ("optimizer.adam.warmup_iters", None),
+    ("optimizer.kfac", [0.9]),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
         harness.build_config(_with(path, value))
+
+
+def test_float_fields_take_numeric_strings():
+    # PyYAML reads 1e-3 (no dot) as the string '1e-3'
+    raw = _with("optimizer.kfac.tr_init", "1e-3")
+    raw["training"]["divergence_factor"] = "10"
+    cfg = harness.build_config(raw)
+    assert cfg.kfac.tr_init == 1e-3 and cfg.training.divergence_factor == 10.0
+    assert cfg.training.val_target is None
 
 
 def test_unknown_dataset_role_raises_config_error():
@@ -129,6 +150,36 @@ def test_resume_refuses_another_optimizer_state_version(tmp_path, toy_datasets):
     ckpt.save_records(stale, records, cfg_hash, kind, 2)
     with pytest.raises(ckpt.CheckpointError, match="version 2"):
         harness.train(cfg, tmp_path / "resumed", resume_from=stale, datasets=toy_datasets)
+
+
+def _resume_records(path):
+    records, *_ = ckpt.load_records(path)
+    return records
+
+
+def _metrics_without_wall_ms(path):
+    return [row.rsplit(",", 1)[0] for row in open(path).read().splitlines()]
+
+
+# Four iterations, not more: KFAC at the TOY defaults overflows at the fifth.
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_resumed_run_equals_a_straight_run(tmp_path, toy_datasets, name):
+    def cfg(iterations):
+        return harness.build_config(_with("training.max_iterations", iterations),
+                                    optimizer_override=name)
+
+    first = harness.train(cfg(2), tmp_path / "resumed", datasets=toy_datasets)
+    resumed = harness.train(cfg(4), tmp_path / "resumed", resume_from=first.checkpoint_path,
+                            datasets=toy_datasets)
+    straight = harness.train(cfg(4), tmp_path / "straight", datasets=toy_datasets)
+    got = _resume_records(resumed.checkpoint_path)
+    want = _resume_records(straight.checkpoint_path)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert want["train/initial_val"][0, 0] > 0.0
+    assert (_metrics_without_wall_ms(resumed.metrics_path)
+            == _metrics_without_wall_ms(straight.metrics_path))
+    assert len(_metrics_without_wall_ms(straight.metrics_path)) == 5
 
 
 # A head 1e6 times the default overflows symexp at the first step (tape node

@@ -14,6 +14,11 @@ def make_optimizer(seed=0, config=None, action_dim=3):
     return params, op.KfacOptimizer(params, config or op.KfacConfig())
 
 
+def factored_blocks(kfac):
+    """The weight-matrix blocks: every block but the RMSNorm gains."""
+    return [b for b in kfac.blocks.values() if b.a_cov is not None]
+
+
 # ---------------------------------------------------------------------------
 # factor updates
 
@@ -66,7 +71,7 @@ def test_a_stays_symmetric_psd_under_random_updates():
             chan.activations.extend(rng.normal(size=(4, width)) for _ in range(3))
             channels[name] = chan
         kfac.update_input_stats(channels, batch_size=4)
-    for curve in kfac.blocks.values():
+    for curve in factored_blocks(kfac):
         a = curve.a_cov
         assert np.abs(a - a.T).max() < 1e-12
         assert np.linalg.eigvalsh(a).min() >= -1e-12
@@ -102,7 +107,6 @@ class _ToyParams:
     def __init__(self, w):
         self.values = {"w": w}
         self.kronecker_names = ["w"]
-        self.diagonal_names = []
 
 
 def test_pseudo_backward_zero_target_gives_zero():
@@ -178,20 +182,18 @@ def test_update_g_and_d_identity_rotation():
     params, kfac = make_optimizer(config=op.KfacConfig(beta_scale=0.0, beta_factor=0.0))
     rng = np.random.default_rng(8)
     pseudo = op.PseudoGradient(grads={}, step_grads={})
+    for name, value in params.values.items():
+        pseudo.grads[name] = rng.normal(size=value.shape)
     for name in params.kronecker_names:
         shape = params.values[name].shape
-        pseudo.grads[name] = rng.normal(size=shape)
         pseudo.step_grads[name] = [rng.normal(size=(1, shape[0])) for _ in range(3)]
-    for name in params.diagonal_names:
-        pseudo.grads[name] = rng.normal(size=params.values[name].shape)
     kfac.update_output_stats(pseudo)
-    for name in params.kronecker_names:
+    for name, block in kfac.blocks.items():
         # q factors start at the identity, so D is the squared gradient
-        assert np.abs(kfac.blocks[name].scale - pseudo.grads[name] ** 2).max() < 1e-15
+        assert np.abs(block.scale - pseudo.grads[name] ** 2).max() < 1e-15
+    for name in params.kronecker_names:
         want_g = sum(g.T @ g for g in pseudo.step_grads[name]) / np.sqrt(3)
         assert np.abs(kfac.blocks[name].g_cov - want_g).max() < 1e-14
-    for name in params.diagonal_names:
-        assert np.abs(kfac.diags[name].scale - pseudo.grads[name] ** 2).max() < 1e-15
 
 
 def test_d_converges_to_stationary_second_moment():
@@ -204,12 +206,10 @@ def test_d_converges_to_stationary_second_moment():
     n = 4000
     for _ in range(n):
         pseudo = op.PseudoGradient(grads={}, step_grads={})
+        for pname, value in params.values.items():
+            pseudo.grads[pname] = rng.normal(size=value.shape) * (base if pname == name else 1.0)
         for pname in params.kronecker_names:
-            s = params.values[pname].shape
-            pseudo.grads[pname] = rng.normal(size=s) * (base if pname == name else 1.0)
-            pseudo.step_grads[pname] = [rng.normal(size=(1, s[0]))]
-        for pname in params.diagonal_names:
-            pseudo.grads[pname] = rng.normal(size=params.values[pname].shape)
+            pseudo.step_grads[pname] = [rng.normal(size=(1, params.values[pname].shape[0]))]
         kfac.update_output_stats(pseudo)
     got = kfac.blocks[name].scale
     want = base ** 2
@@ -223,14 +223,13 @@ def test_g_symmetric_psd_after_updates():
     rng = np.random.default_rng(10)
     for _ in range(50):
         pseudo = op.PseudoGradient(grads={}, step_grads={})
+        for name, value in params.values.items():
+            pseudo.grads[name] = rng.normal(size=value.shape)
         for name in params.kronecker_names:
             s = params.values[name].shape
-            pseudo.grads[name] = rng.normal(size=s)
             pseudo.step_grads[name] = [rng.normal(size=(1, s[0])) for _ in range(4)]
-        for name in params.diagonal_names:
-            pseudo.grads[name] = rng.normal(size=params.values[name].shape)
         kfac.update_output_stats(pseudo)
-    for curve in kfac.blocks.values():
+    for curve in factored_blocks(kfac):
         g = curve.g_cov
         assert np.abs(g - g.T).max() < 1e-12
         assert np.linalg.eigvalsh(g).min() >= -1e-12
@@ -256,13 +255,13 @@ def test_eigenbasis_diagonal_matrix_gives_signed_permutation():
 def test_eigenbasis_reconstructs_diagonal():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(11)
-    for curve in kfac.blocks.values():
+    for curve in factored_blocks(kfac):
         m = rng.normal(size=curve.a_cov.shape)
         curve.a_cov = m @ m.T
         m = rng.normal(size=curve.g_cov.shape)
         curve.g_cov = m @ m.T
     kfac.update_eigenbasis()
-    for curve in kfac.blocks.values():
+    for curve in factored_blocks(kfac):
         rotated = curve.q_a.T @ curve.a_cov @ curve.q_a
         off = rotated - np.diag(np.diag(rotated))
         assert np.abs(off).max() < 1e-10
@@ -288,7 +287,7 @@ def test_eigenbasis_with_repeated_eigenvalues_is_orthonormal():
 def test_unit_scale_preconditioner_is_identity():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(12)
-    for curve in kfac.blocks.values():
+    for curve in factored_blocks(kfac):
         m = rng.normal(size=curve.a_cov.shape)
         curve.a_cov = m @ m.T
         m = rng.normal(size=curve.g_cov.shape)
@@ -296,8 +295,6 @@ def test_unit_scale_preconditioner_is_identity():
     kfac.update_eigenbasis()
     for curve in kfac.blocks.values():
         curve.scale = np.ones_like(curve.scale)
-    for diag in kfac.diags.values():
-        diag.scale = np.ones_like(diag.scale)
     grads = {k: rng.normal(size=v.shape) for k, v in params.values.items()}
     pre = kfac.precondition(grads)
     for name in grads:
@@ -355,13 +352,12 @@ def test_preconditioned_inner_product_positive():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(16)
     for curve in kfac.blocks.values():
-        m = rng.normal(size=curve.a_cov.shape)
-        curve.a_cov = m @ m.T
-        m = rng.normal(size=curve.g_cov.shape)
-        curve.g_cov = m @ m.T
+        if curve.a_cov is not None:
+            m = rng.normal(size=curve.a_cov.shape)
+            curve.a_cov = m @ m.T
+            m = rng.normal(size=curve.g_cov.shape)
+            curve.g_cov = m @ m.T
         curve.scale = rng.uniform(0.1, 2.0, size=curve.scale.shape)
-    for diag in kfac.diags.values():
-        diag.scale = rng.uniform(0.1, 2.0, size=diag.scale.shape)
     kfac.update_eigenbasis()
     for _ in range(1000):
         grads = {k: rng.normal(size=v.shape) for k, v in params.values.items()}
@@ -431,8 +427,6 @@ def test_trust_region_step_size_formula():
         tr_init=1e-3, eta_max=1.0, beta_momentum=0.0))
     for curve in kfac.blocks.values():
         curve.scale = np.ones_like(curve.scale)
-    for diag in kfac.diags.values():
-        diag.scale = np.ones_like(diag.scale)
     # gradient with squared norm 4 in a single entry
     grads = {k: np.zeros_like(v) for k, v in params.values.items()}
     grads["embed"][0, 0] = 2.0
@@ -448,8 +442,6 @@ def test_trust_region_caps_at_eta_max():
     params, kfac = make_optimizer(config=op.KfacConfig(eta_max=0.5))
     for curve in kfac.blocks.values():
         curve.scale = np.ones_like(curve.scale)
-    for diag in kfac.diags.values():
-        diag.scale = np.ones_like(diag.scale)
     grads = {k: np.full_like(v, 1e-9) for k, v in params.values.items()}
     pre = kfac.precondition(grads)
     eta = kfac.apply_step(params, pre, grads)
@@ -462,8 +454,6 @@ def test_momentum_off_gives_plain_step():
     before = {k: v.copy() for k, v in params.values.items()}
     for curve in kfac.blocks.values():
         curve.scale = np.ones_like(curve.scale)
-    for diag in kfac.diags.values():
-        diag.scale = np.ones_like(diag.scale)
     grads = {k: np.ones_like(v) for k, v in params.values.items()}
     pre = kfac.precondition(grads)
     eta = kfac.apply_step(params, pre, grads)
@@ -478,13 +468,60 @@ def test_identity_basis_ablation_is_diagonal_method():
     rng = np.random.default_rng(19)
     for curve in kfac.blocks.values():
         curve.scale = rng.uniform(0.5, 2.0, size=curve.scale.shape)
-    for diag in kfac.diags.values():
-        diag.scale = rng.uniform(0.5, 2.0, size=diag.scale.shape)
     grads = {k: rng.normal(size=v.shape) for k, v in params.values.items()}
     pre = kfac.precondition(grads)
     for name, curve in kfac.blocks.items():
         want = grads[name] / op.damped_scale(curve.scale, cfg.shrinkage)
         assert np.abs(pre[name] - want).max() < 1e-14
+
+
+def test_gain_blocks_have_no_factors_and_keep_identity_bases():
+    params, kfac = make_optimizer()
+    rng = np.random.default_rng(24)
+    for curve in factored_blocks(kfac):
+        m = rng.normal(size=curve.a_cov.shape)
+        curve.a_cov = m @ m.T
+        m = rng.normal(size=curve.g_cov.shape)
+        curve.g_cov = m @ m.T
+    kfac.update_eigenbasis()
+    gains = [name for name in params.values if name not in params.kronecker_names]
+    assert gains == ["block0.gain", "block1.gain"]
+    for name in gains:
+        block = kfac.blocks[name]
+        assert block.a_cov is None and block.g_cov is None
+        assert np.array_equal(block.q_a, np.eye(4)) and np.array_equal(block.q_g, np.eye(1))
+    assert not np.array_equal(kfac.blocks["embed"].q_a, np.eye(10))
+
+
+# ---------------------------------------------------------------------------
+# checkpoint state
+
+
+def test_state_records_layout_and_roundtrip():
+    # the names and shapes a checkpoint holds; changing them needs a new
+    # STATE_VERSION
+    params, kfac = make_optimizer()
+    weights = {"embed": (4, 10), "block0.lstm": (16, 9), "block1.lstm": (16, 9),
+               "head": (3, 5)}
+    want = {"opt/rho_tr": (1, 1), "opt/step": (1, 1)}
+    for name, (n_out, n_in) in weights.items():
+        want.update({f"opt/{name}/a_cov": (n_in, n_in), f"opt/{name}/g_cov": (n_out, n_out),
+                     f"opt/{name}/q_a": (n_in, n_in), f"opt/{name}/q_g": (n_out, n_out),
+                     f"opt/{name}/scale": (n_out, n_in),
+                     f"opt/{name}/momentum": (n_out, n_in)})
+    for name in ("block0.gain", "block1.gain"):
+        want.update({f"opt/{name}/scale": (1, 4), f"opt/{name}/momentum": (1, 4)})
+    records = kfac.state_records()
+    assert {k: v.shape for k, v in records.items()} == want
+    assert kfac.STATE_VERSION == 1
+
+    rng = np.random.default_rng(25)
+    saved = {k: rng.normal(size=v.shape) for k, v in records.items()}
+    saved["opt/step"] = np.array([[7.0]])
+    _, fresh = make_optimizer()
+    fresh.load_state_records(saved)
+    assert fresh.step_count == 7
+    assert all(np.array_equal(v, saved[k]) for k, v in fresh.state_records().items())
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ def test_init_params_deterministic():
 def test_kronecker_and_diagonal_classification():
     params = pol.init_params(TINY, np.random.default_rng(0))
     assert sorted(params.kronecker_names) == ["block0.lstm", "block1.lstm", "embed", "head"]
-    assert sorted(params.diagonal_names) == ["block0.gain", "block1.gain"]
+    gains = sorted(set(params.values) - set(params.kronecker_names))
+    assert gains == ["block0.gain", "block1.gain"]
 
 
 def test_masked_instrument_outputs_exactly_zero():
