@@ -11,6 +11,17 @@ time and the pre-activation gradient at backward time. Summing the
 per-timestep outer products recovers the weight gradient exactly, which
 is the identity the Kronecker-factored curvature estimates rest on.
 
+A recording tape's memory grows with the unroll, so one rule decides
+what a reverse rule may keep: only the arrays it reads that no parent
+node's value already holds. Anything a parent holds (an affine input, an
+action whose sign is needed) is read back from the parent at backward
+time, and anything cheap to rebuild from parent values (the augmented
+input) is rebuilt. The fused LSTM cell computes each gate into its own
+contiguous (batch, H) array and keeps the gates and tanh(c), not the
+(batch, 4H) pre-activation. A rebuilt array repeats the forward pass's
+elementwise operations in the same order, so it is bit-identical to the
+array it replaces.
+
 NaN or Inf anywhere is a hard error, not a value, and one rule checks
 for it. A forward-only tape (``record=False``) checks each operation's
 output as it is emitted. A recording tape is checked once, in
@@ -228,14 +239,6 @@ def scale(a: Node, s: float) -> Node:
     return a.tape._emit(value, (a,), backward_fn, "scale")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5 * (tanh(x/2) + 1): exact, stable, and faster than scipy's logistic here
-    y = np.tanh(0.5 * x)
-    y += 1.0
-    y *= 0.5
-    return y
-
-
 def symexp(a: Node) -> Node:
     """sign(x) * (exp(|x|) - 1), with derivative exp(|x|)."""
     av = a.value
@@ -328,8 +331,8 @@ def rms_normalize(a: Node, gain: Node) -> Node:
     n = av.shape[1]
     ms = np.einsum("ij,ij->i", av, av)[:, None] / n
     r = 1.0 / np.sqrt(ms + RMS_EPS)
-    xhat = av * r
-    value = xhat * gv
+    value = av * r
+    value *= gv
     tape = _tape_of(a, gain)
     na, ng = a.needs_grad, gain.needs_grad
 
@@ -341,10 +344,15 @@ def rms_normalize(a: Node, gain: Node) -> Node:
             row = np.einsum("ij,ij->i", dxhat, av)[:, None]
             da = dxhat * r - (r ** 3 / n) * av * row
         if ng:
-            dgain = np.einsum("ij,ij->j", g, xhat)[None, :]
+            dgain = np.einsum("ij,ij->j", g, av * r)[None, :]
         return da, dgain
 
     return tape._emit(value, (a, gain), backward_fn, "rms_normalize")
+
+
+def _augmented(*blocks: np.ndarray) -> np.ndarray:
+    """The blocks side by side, then a column of ones: an affine map's input."""
+    return np.concatenate(blocks + (np.ones((blocks[0].shape[0], 1)),), axis=1)
 
 
 def affine(x: Node, w: Node, channel: HookChannel | None = None) -> Node:
@@ -352,15 +360,14 @@ def affine(x: Node, w: Node, channel: HookChannel | None = None) -> Node:
 
     ``w`` has shape (n_out, n_in + 1); the trailing column is the bias.
     When a hook channel is given, the augmented input is recorded at
-    forward time and the pre-activation gradient at backward time.
+    forward time and the pre-activation gradient at backward time. The
+    reverse rule rebuilds the augmented input from ``x.value``.
     """
     tape = _tape_of(x, w)
     xv, wv = x.value, w.value
     if wv.shape[1] != xv.shape[1] + 1:
         raise DiffError(f"affine: weight shape {wv.shape} incompatible with input {xv.shape}")
-    aug = np.empty((xv.shape[0], xv.shape[1] + 1))
-    aug[:, :-1] = xv
-    aug[:, -1] = 1.0
+    aug = _augmented(xv)
     value = aug @ wv.T
     nx, nw = x.needs_grad, w.needs_grad
 
@@ -368,7 +375,7 @@ def affine(x: Node, w: Node, channel: HookChannel | None = None) -> Node:
         if channel is not None:
             channel._record_grad(g)
         dx = (g @ wv)[:, :-1] if nx else None
-        dw = g.T @ aug if nw else None
+        dw = g.T @ _augmented(xv) if nw else None
         return dx, dw
 
     if channel is not None:
@@ -380,31 +387,39 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
     """Fused standard LSTM cell; the output stacks [h_new | c_new].
 
     ``x`` is the (batch, H) block input, ``hc_prev`` the (batch, 2H) stacked
-    previous state, ``w`` the (4H, 2H + 1) bias-augmented gate matrix with
-    gate order (input, forget, cell, output). The stacked gate
-    pre-activation is the layer's hook point, so the whole cell forms one
-    Kronecker curvature block. Mathematically this is an affine map
-    followed by elementwise sigmoid, tanh, products and sums; it is fused
-    because the cell dominates the unroll's node count.
+    previous state, ``w`` the (4H, 2H + 1) bias-augmented gate matrix whose
+    rows hold the gates in the order input, forget, output (sigmoid), cell
+    (tanh). The stacked gate pre-activation is the layer's hook point, so
+    the whole cell forms one Kronecker curvature block. Mathematically this
+    is an affine map followed by elementwise sigmoid, tanh, products and
+    sums; it is fused because the cell dominates the unroll's node count.
+
+    Each gate is computed into its own contiguous (batch, H) array, the
+    three sigmoid gates as the planes of one (3, batch, H) array: an
+    elementwise op on a strided column slice of a (batch, 4H) array costs
+    about as much as one on the whole array. The (batch, 4H) pre-activation
+    is dropped once the gates exist, and the reverse rule keeps only the
+    four gates and tanh(c_new), 5H columns per row; it rebuilds the
+    augmented input from ``x.value`` and ``hc_prev.value``.
     """
     tape = _tape_of(x, hc_prev, w)
     xv, hcv, wv = x.value, hc_prev.value, w.value
     batch, h_dim = xv.shape
     if hcv.shape != (batch, 2 * h_dim) or wv.shape != (4 * h_dim, 2 * h_dim + 1):
         raise DiffError(f"lstm_cell: shapes x{xv.shape}, hc{hcv.shape}, w{wv.shape} inconsistent")
-    h3 = 3 * h_dim
     c_prev = hcv[:, h_dim:]
-    aug = np.empty((batch, 2 * h_dim + 1))
-    aug[:, :h_dim] = xv
-    aug[:, h_dim:-1] = hcv[:, :h_dim]
-    aug[:, -1] = 1.0
-    # gate row order: input, forget, output (sigmoid block), then cell (tanh)
-    pre = aug @ wv.T
-    sig = _sigmoid(pre[:, :h3])
-    i_g = sig[:, :h_dim]
-    f_g = sig[:, h_dim:2 * h_dim]
-    o_g = sig[:, 2 * h_dim:]
-    g_g = np.tanh(pre[:, h3:])
+    aug = _augmented(xv, hcv[:, :h_dim])
+    # (4, batch, H) view of the pre-activation, one plane per gate
+    pre = (aug @ wv.T).reshape(batch, 4, h_dim).transpose(1, 0, 2)
+    # sigmoid as 0.5 * (tanh(x/2) + 1): exact, stable, and faster than scipy's logistic
+    sig = np.empty((3, batch, h_dim))
+    np.multiply(pre[:3], 0.5, out=sig)
+    np.tanh(sig, out=sig)
+    sig += 1.0
+    sig *= 0.5
+    i_g, f_g, o_g = sig
+    g_g = np.tanh(pre[3])
+    del pre
     c_new = f_g * c_prev
     c_new += i_g * g_g
     tanh_c = np.tanh(c_new)
@@ -421,21 +436,20 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
         dc *= dh
         dc *= o_g
         dc += g[:, h_dim:]
-        d_pre = np.empty_like(pre)
-        dsig = d_pre[:, :h3]
-        np.subtract(1.0, sig, out=dsig)
+        # each gate's last factor writes its plane of the (batch, 4H) gradient
+        d_pre = np.empty((batch, 4 * h_dim))
+        d_gates = d_pre.reshape(batch, 4, h_dim).transpose(1, 0, 2)
+        dsig = np.subtract(1.0, sig)
         dsig *= sig  # s (1 - s)
-        dsig[:, :h_dim] *= dc
-        dsig[:, :h_dim] *= g_g
-        dsig[:, h_dim:2 * h_dim] *= dc
-        dsig[:, h_dim:2 * h_dim] *= c_prev
-        dsig[:, 2 * h_dim:] *= dh
-        dsig[:, 2 * h_dim:] *= tanh_c
-        dtanh = d_pre[:, h3:]
-        np.multiply(g_g, g_g, out=dtanh)
+        dsig[:2] *= dc
+        dsig[2] *= dh
+        np.multiply(dsig[0], g_g, out=d_gates[0])
+        np.multiply(dsig[1], c_prev, out=d_gates[1])
+        np.multiply(dsig[2], tanh_c, out=d_gates[2])
+        dtanh = g_g * g_g
         np.subtract(1.0, dtanh, out=dtanh)
         dtanh *= dc
-        dtanh *= i_g
+        np.multiply(dtanh, i_g, out=d_gates[3])
         if channel is not None:
             channel._record_grad(d_pre)
         dx = d_hc = dw = None
@@ -448,7 +462,7 @@ def lstm_cell(x: Node, hc_prev: Node, w: Node, channel: HookChannel | None = Non
             if nx:
                 dx = d_aug[:, :h_dim]
         if nw:
-            dw = d_pre.T @ aug
+            dw = d_pre.T @ _augmented(xv, hcv[:, :h_dim])
         return dx, d_hc, dw
 
     if channel is not None:
@@ -463,7 +477,8 @@ def hedge_accumulate(action_nodes: Sequence[Node], returns: np.ndarray,
     Column 0 collects terminal gains sum_t <u_t, r_t>, column 1 the L1
     trading costs sum_t <|u_t|, c>. ``returns`` is the (batch, T, d)
     constant tensor, ``cost_row`` the (d,) cost vector. One tape node
-    replaces six per step.
+    replaces six per step. The reverse rule recomputes the signs of the
+    actions from their node values.
     """
     tape = _tape_of(*action_nodes)
     n_steps = len(action_nodes)
@@ -471,18 +486,17 @@ def hedge_accumulate(action_nodes: Sequence[Node], returns: np.ndarray,
     if returns.shape != (batch, n_steps, d):
         raise DiffError(f"hedge_accumulate: returns shape {returns.shape} unexpected")
     value = np.zeros((batch, 2))
-    signs = []
     for t, u_t in enumerate(action_nodes):
         uv = u_t.value
         value[:, 0] += np.einsum("bd,bd->b", uv, returns[:, t, :])
         value[:, 1] += np.abs(uv) @ cost_row
-        signs.append(np.sign(uv))
+    actions = [u_t.value for u_t in action_nodes]
 
     def backward_fn(g: np.ndarray):
         g_gain = g[:, 0:1]
         g_cost = g[:, 1:2]
-        return tuple(g_gain * returns[:, t, :] + g_cost * (signs[t] * cost_row)
-                     for t in range(n_steps))
+        return tuple(g_gain * returns[:, t, :] + g_cost * (np.sign(uv) * cost_row)
+                     for t, uv in enumerate(actions))
 
     return tape._emit(value, tuple(action_nodes), backward_fn, "hedge_accumulate")
 

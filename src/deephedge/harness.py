@@ -146,6 +146,13 @@ def _known(mapping: dict, keys: str, where: str) -> dict:
     return mapping
 
 
+def _integer(v, where: str) -> int:
+    """``v`` if it is an integer and not a bool: ``int(v)`` would truncate."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _section(cls, raw: dict, where: str):
     """``cls(**raw)`` under one type rule: a float field takes ``float(v)``,
     an int field needs an integer and a bool field a bool, so that no value
@@ -159,8 +166,8 @@ def _section(cls, raw: dict, where: str):
         kind = kinds.get(key)
         if kind is bool and not isinstance(v, bool):
             raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
-        if kind is int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
-            raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
+        if kind is int:
+            v = _integer(v, f"{where}.{key}")
         if kind is float or (kind == float | None and v is not None):
             v = float(v)
         values[key] = v
@@ -191,13 +198,14 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
             kappa=float(m.get("kappa", 8.0)), theta=float(m.get("theta", 0.0625)),
             xi=float(m.get("xi", 1.0)), rho=float(m.get("rho", -0.7)))
         dt = float(m.get("dt", 1.0 / 250.0))
-        substeps = int(m.get("substeps", 2))
-        grid_map = {int(k): [float(x) for x in v]
+        substeps = _integer(m.get("substeps", 2), "market.substeps")
+        grid_map = {_integer(k, "grid maturity"): [float(x) for x in v]
                     for k, v in _require(raw, "grid", "config").items()}
         grid = ct.GridSpec.from_ratio_map(grid_map)
         cl = _known(_require(raw, "cliquet", "config"), "cap resets", "cliquet")
         cliquet = ct.CliquetSpec(cap=float(cl["cap"]),
-                                 resets=tuple(int(r) for r in cl["resets"]))
+                                 resets=tuple(_integer(r, "cliquet.resets entry")
+                                              for r in cl["resets"]))
         co = _known(raw.get("costs", {}), "spot option l2_multiplier", "costs")
         costs = ct.CostSpec(spot_cost=float(co.get("spot", 1e-4)),
                             option_cost=float(co.get("option", 1e-2)),
@@ -206,8 +214,8 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         gamma = float(ob.get("risk_aversion", 1000.0))
         p = _known(raw.get("policy", {}), "hidden blocks head_scale", "policy")
         policy_cfg = pol.PolicyConfig(
-            action_dim=grid.d, hidden=int(p.get("hidden", 32)),
-            n_blocks=int(p.get("blocks", 4)),
+            action_dim=grid.d, hidden=_integer(p.get("hidden", 32), "policy.hidden"),
+            n_blocks=_integer(p.get("blocks", 4), "policy.blocks"),
             head_scale=float(p.get("head_scale", 1e-3)))
         o = _known(raw.get("optimizer", {}), "name kfac adam", "optimizer")
         name = optimizer_override or o.get("name", "kfac")
@@ -217,7 +225,7 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         adam = _section(op.AdamConfig, o.get("adam", {}), "optimizer.adam")
         dcfg = _section(DataConfig, raw.get("data", {}), "data")
         tcfg = _section(TrainingConfig, raw.get("training", {}), "training")
-        seed = int(_require(raw, "seed", "config"))
+        seed = _integer(_require(raw, "seed", "config"), "seed")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -398,7 +406,12 @@ def _train_iteration_adam(cfg, params, adam, ds_train, idx):
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
           datasets: dict[str, Dataset] | None = None) -> TrainResult:
-    """Run the configured optimizer; writes metrics, manifest, checkpoint."""
+    """Run the configured optimizer; writes metrics, manifest, checkpoint.
+
+    A run that stops on ``DiffError``, ``OptimError`` or ``TrainingDiverged``
+    still writes its checkpoint, as of the last iteration that wrote its
+    metrics row (the initialization if none did), then re-raises.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if datasets is None:
@@ -455,8 +468,17 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     target_iteration = None
     val_loss = float("nan")
 
+    ckpt_path = outdir / "checkpoint.dhck"
+
+    def save_checkpoint(records):
+        ckpt.save_records(ckpt_path, records, cfg.identity_hash(),
+                          cfg.optimizer_name, optimizer.STATE_VERSION)
+
     try:
         for it in range(start, tcfg.max_iterations):
+            # what a failure in this iteration leaves: the state as of the
+            # last iteration that wrote its metrics row
+            last_good = _train_records(params, optimizer, initial_val, divergence_run)
             t0 = time.perf_counter()
             epoch, j = divmod(it, batches_per_epoch)
             if epoch != order_epoch:
@@ -504,22 +526,29 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
                                        grad_var, max_scale, wall_ms))
             if reached:
                 break
+    except (dc.DiffError, op.OptimError, TrainingDiverged):
+        save_checkpoint(last_good)
+        raise
     finally:
         metrics.close()
 
     iterations_run = (target_iteration + 1) if reached else tcfg.max_iterations
-    ckpt_path = outdir / "checkpoint.dhck"
-    records = dict(params.values)
-    records.update(optimizer.state_records())
-    records["train/initial_val"] = np.array([[initial_val]])
-    records["train/divergence_run"] = np.array([[float(divergence_run)]])
-    ckpt.save_records(ckpt_path, records, cfg.identity_hash(),
-                      cfg.optimizer_name, optimizer.STATE_VERSION)
+    save_checkpoint(_train_records(params, optimizer, initial_val, divergence_run))
     final_val = val_loss if math.isfinite(val_loss) else dataset_objective(
         params, ds_val, gamma, costs)
     return TrainResult(checkpoint_path=str(ckpt_path), metrics_path=str(metrics_path),
                        iterations_run=iterations_run, final_val_loss=final_val,
                        reached_target=reached, target_iteration=target_iteration)
+
+
+def _train_records(params, optimizer, initial_val: float, divergence_run: int) -> dict:
+    """Copies of everything a resume reads: parameters, optimizer state and
+    the divergence guard's baseline and streak."""
+    records = {name: value.copy() for name, value in params.values.items()}
+    records.update((name, value.copy()) for name, value in optimizer.state_records().items())
+    records["train/initial_val"] = np.array([[initial_val]])
+    records["train/divergence_run"] = np.array([[float(divergence_run)]])
+    return records
 
 
 def _metrics_row(it, train_loss, val_loss, eta, rho_tr, grad_var, max_scale, wall_ms):

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from deephedge import contracts as ct
 from deephedge import diffcore as dc
+from deephedge import policy as pol
 from oracles import central_diff_gradient, central_diff_gradient_map
 
 RNG = np.random.default_rng(20240917)
@@ -273,3 +277,68 @@ def test_unused_parameter_gets_zero_gradient():
     z = tape.parameter("unused", np.ones((2, 2)))
     grads = dc.backward(dc.total(square(x)))
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+
+
+def _lstm_loss(params, r, channel=None):
+    tape = dc.Tape()
+    nodes = {k: tape.parameter(k, v) for k, v in params.items()}
+    out = dc.lstm_cell(nodes["x"], nodes["hc"], nodes["w"], channel=channel)
+    # a nonlinear read-out of both halves of the output
+    return dc.total(square(dc.multiply(out, tape.constant(r))))
+
+
+def test_lstm_cell_matches_finite_differences_and_its_hook():
+    batch, h = 5, 3
+    params = {"x": RNG.normal(size=(batch, h)), "hc": RNG.normal(size=(batch, 2 * h)),
+              "w": RNG.normal(size=(4 * h, 2 * h + 1)) * 0.7}
+    r = RNG.normal(size=(batch, 2 * h))
+    ch = dc.HookChannel("cell")
+    grads = dc.backward(_lstm_loss(params, r, ch), hooks=[ch])
+    fd = central_diff_gradient_map(lambda p: float(_lstm_loss(p, r).value[0, 0]), params)
+    # x, the h half and the c half of the previous state, the gate matrix
+    for name, cols in (("x", slice(None)), ("hc", slice(0, h)), ("hc", slice(h, 2 * h)),
+                       ("w", slice(None))):
+        err = np.abs(grads[name][:, cols] - fd[name][:, cols]).max()
+        assert err < 1e-6 * max(1.0, np.abs(fd[name]).max()), (name, cols)
+    assert ch.activations[0].shape == (batch, 2 * h + 1)
+    assert ch.grads[0].shape == (batch, 4 * h)
+    assert np.array_equal(ch.weight_gradient(), grads["w"])
+
+
+def _owned_bytes(arrays):
+    # views (a slice of a cell's output, a mask row) hold no memory of their own
+    return sum(a.nbytes for a in arrays if a.base is None)
+
+
+def test_recording_rollout_keeps_only_values_captures_and_gates():
+    # A reverse rule keeps only the arrays it reads that no parent node holds:
+    # per LSTM firing the four gates, tanh(c) and the RMSNorm scale r (5H + 1
+    # columns), per step the symexp derivative (d columns). Anything more
+    # (the gate pre-activation, a second augmented input, the normalized
+    # input, the action signs) is caught here.
+    batch, n_steps, d = 256, 6, 3
+    config = pol.PolicyConfig(action_dim=d, hidden=8, n_blocks=2)
+    params = pol.init_params(config, np.random.default_rng(1))
+    features = RNG.normal(size=(batch, n_steps, config.n_features))
+    mask = np.ones((n_steps, d))
+    returns = RNG.normal(size=(batch, n_steps, d)) * 0.01
+    payoff = RNG.normal(size=batch) * 0.01
+    costs = ct.CostSpec(spot_cost=1e-4, option_cost=1e-2, l2_multiplier=8.0)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = pol.rollout(params, features, mask, capture=True)
+        loss = ct.batch_objective(res.action_nodes, returns, payoff, 10.0, costs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+    nodes = res.tape.nodes
+    values = _owned_bytes(node.value for node in nodes)
+    captures = _owned_bytes(a for ch in res.channels.values() for a in ch.activations)
+    firings = n_steps * config.n_blocks
+    kept = firings * (5 * config.hidden + 1) * batch * 8 + n_steps * d * batch * 8
+    slack = 1024 * len(nodes) + 64 * 1024  # Python objects: nodes, closures, views
+    assert held <= values + captures + kept + slack, (held, values, captures, kept, slack)
+    assert loss.value.shape == (1, 1)

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -74,9 +75,31 @@ def test_toy_config_builds():
     ("optimizer.kfac.identity_basis", "yes"),
     ("optimizer.adam.warmup_iters", None),
     ("optimizer.kfac", [0.9]),
+    # integer fields read outside the sections: truncated by int(...)
+    ("market.substeps", 2.7),
+    ("policy.hidden", 32.9),
+    ("policy.blocks", 2.0),
+    ("policy.blocks", True),
+    ("seed", 7.9),
+    ("seed", "7"),
+    ("cliquet.resets", [7, 14.5, 21]),
+    ("grid", {10.5: [1.0]}),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
+        harness.build_config(_with(path, value))
+
+
+@pytest.mark.parametrize("path,value,key", [
+    ("market.substeps", 2.7, "market.substeps"),
+    ("policy.hidden", 32.9, "policy.hidden"),
+    ("policy.blocks", 2.0, "policy.blocks"),
+    ("seed", 7.9, "seed"),
+    ("cliquet.resets", [7, 14.5, 21], "cliquet.resets"),
+    ("grid", {10.5: [1.0]}, "grid"),
+])
+def test_fractional_integer_field_names_its_key(path, value, key):
+    with pytest.raises(harness.ConfigError, match=f"^{key}.* must be an integer"):
         harness.build_config(_with(path, value))
 
 
@@ -194,6 +217,32 @@ def test_training_overflow_names_the_op(tmp_path, toy_datasets, name):
     cfg = harness.build_config(copy.deepcopy(OVERFLOWING), optimizer_override=name)
     with pytest.raises(dc.DiffError, match="'symexp' at tape node 36"):
         harness.train(cfg, tmp_path, datasets=toy_datasets)
+    # no iteration completed: the checkpoint holds the initialization
+    records, cfg_hash, kind, _ = ckpt.load_records(tmp_path / "checkpoint.dhck")
+    assert (cfg_hash, kind) == (cfg.identity_hash(), name)
+    init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    assert all(np.array_equal(records[k], v) for k, v in init.values.items())
+    assert records["opt/step"][0, 0] == 0.0 and np.isnan(records["train/initial_val"][0, 0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_run_checkpoint_equals_a_straight_run_to_its_last_iteration(
+        tmp_path, toy_datasets):
+    def cfg(iterations):
+        return harness.build_config(_with("training.max_iterations", iterations),
+                                    optimizer_override="kfac")
+
+    with pytest.raises(dc.DiffError):
+        harness.train(cfg(8), tmp_path / "failed", datasets=toy_datasets)
+    completed = len(_metrics_without_wall_ms(tmp_path / "failed" / "metrics.csv")) - 1
+    assert completed == 4  # KFAC at the TOY defaults overflows at the fifth iteration
+    straight = harness.train(cfg(completed), tmp_path / "straight", datasets=toy_datasets)
+    got = _resume_records(tmp_path / "failed" / "checkpoint.dhck")
+    want = _resume_records(straight.checkpoint_path)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k], equal_nan=True) for k in want)
+    assert (_metrics_without_wall_ms(tmp_path / "failed" / "metrics.csv")
+            == _metrics_without_wall_ms(straight.metrics_path))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -203,3 +252,57 @@ def test_probe_overflow_names_the_op(toy_datasets):
     with pytest.raises(dc.DiffError, match="'symexp' at tape node 36"):
         harness.probe_gradient_variance(params, toy_datasets["train"],
                                         cfg.risk_aversion, cfg.costs, 8)
+
+
+@pytest.fixture(scope="module")
+def toy_evaluation():
+    cfg = harness.build_config(copy.deepcopy(TOY))
+    ds_test = harness.build_datasets(cfg, ("test",))["test"]
+    params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    return cfg, params, ds_test, harness.evaluate(cfg, params, ds_test)
+
+
+def test_evaluate_agrees_with_the_validation_objective(toy_evaluation):
+    cfg, params, ds_test, result = toy_evaluation
+    report, per_path = result["report"], result["per_path"]
+    n, n_steps, d = 32, cfg.cliquet.maturity, cfg.grid.d
+    assert report["n_paths"] == n and report["identity_hash"] == cfg.identity_hash()
+    assert report["validation_estimator_loss"] == harness.dataset_objective(
+        params, ds_test, cfg.risk_aversion, cfg.costs)
+    assert per_path.shape == (n, 6)
+    assert np.array(report["action_quantiles"]["values"]).shape == (5, n_steps, d)
+    gains, payoff, pnl = per_path[:, 0], per_path[:, 1], per_path[:, 2]
+    assert np.array_equal(payoff, ds_test.payoff)
+    assert np.allclose(gains - payoff, pnl, rtol=0.0, atol=1e-15)
+    assert report["pnl"]["hedged"]["mean"] == float(pnl.mean())
+    assert report["pnl"]["unhedged"]["mean"] == float(-payoff.mean())
+
+
+def test_evaluation_files_and_exports(tmp_path, toy_evaluation):
+    cfg, _, _, result = toy_evaluation
+    summary, dump = harness.write_evaluation(tmp_path, result)
+    assert json.loads(open(summary).read()) == result["report"]
+    rows = open(dump).read().splitlines()
+    assert rows[0] == harness.PER_PATH_HEADER and len(rows) == 33
+    assert np.array_equal(np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]]),
+                          result["per_path"])
+
+    hist = open(harness.export_pnl_histogram(dump, tmp_path, bins=10)).read().splitlines()
+    assert hist[0] == "kind,bin_left,bin_right,count" and len(hist) == 1 + 3 * 10
+    for kind in ("hedged", "delta_only", "unhedged"):
+        assert sum(int(r.split(",")[3]) for r in hist[1:] if r.startswith(kind + ",")) == 32
+
+    fans = open(harness.export_hedge_fans(summary, tmp_path)).read().splitlines()
+    n_steps, d = cfg.cliquet.maturity, cfg.grid.d
+    assert fans[0] == "t,instrument,q05,q25,q50,q75,q95" and len(fans) == 1 + n_steps * d
+    quantiles = np.array(result["report"]["action_quantiles"]["values"])
+    t, i, *qs = fans[1 + 5 * d + 1].split(",")
+    assert (int(t), int(i)) == (5, 1)
+    assert [float(q) for q in qs] == list(quantiles[:, 5, 1])
+
+
+def test_pnl_histogram_of_an_empty_evaluation_is_its_header(tmp_path):
+    dump = tmp_path / "empty.csv"
+    dump.write_text(harness.PER_PATH_HEADER + "\n")
+    out = harness.export_pnl_histogram(dump, tmp_path / "out")
+    assert open(out).read() == "kind,bin_left,bin_right,count\n"
