@@ -1,22 +1,37 @@
-"""Checkpoint files: named float64 arrays in length-prefixed records.
+"""Checkpoint files: named float64 arrays in an uncompressed numpy ``.npz`` archive.
 
-Layout: magic, format version, config hash (first 8 bytes of the sha256
-of the canonical config JSON), optimizer kind tag, optimizer state
-version, record count, then one record per array: name length, utf-8
-name, ndim, dims, raw float64 payload. Parameters and optimizer state
-share the file so training can resume exactly.
+Each record is one archive member holding a float64 array of its own shape
+(0-d included). Two metadata members sit beside them, under dunder names
+that no parameter or state record uses: ``__checkpoint__``, a uint64 array
+of [format version, config hash, optimizer state version], where the
+config hash is the first 8 bytes of the sha256 of the canonical config
+JSON; and ``__optimizer__``, the optimizer kind as a unicode array.
+Parameters and optimizer state share the file so training can resume
+exactly.
+
+The zip format stores a CRC-32 for every member, so a flipped bit or a cut
+file raises :class:`CheckpointError` instead of loading. A save writes
+``<path>.tmp`` in the same directory, syncs it to disk and renames it onto
+``path``, so a save that fails part-way leaves the previous checkpoint as it
+was. Any numpy opens a checkpoint without this package::
+
+    with np.load("checkpoint.dhck", allow_pickle=False) as archive:
+        version, cfg_hash, opt_state_version = archive["__checkpoint__"]
+        head = archive["head"]
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
+import os
+import zipfile
 
 import numpy as np
 
-MAGIC = b"DHCK"
-VERSION = 1
+VERSION = 2
+META = "__checkpoint__"
+KIND = "__optimizer__"
 
 
 class CheckpointError(RuntimeError):
@@ -30,55 +45,37 @@ def config_hash(config_dict: dict) -> int:
 
 def save_records(path, records: dict[str, np.ndarray], cfg_hash: int,
                  optimizer_kind: str, opt_state_version: int) -> None:
-    kind = optimizer_kind.encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", MAGIC, VERSION, cfg_hash))
-        fh.write(struct.pack("<I", len(kind)))
-        fh.write(kind)
-        fh.write(struct.pack("<II", opt_state_version, len(records)))
-        for name, arr in records.items():
-            # asarray, not ascontiguousarray, which would make a 0-d array 1-d;
-            # tobytes writes C order either way
-            arr = np.asarray(arr, dtype=np.float64)
-            encoded = name.encode()
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
-
-
-def _read_exact(fh, n_bytes: int) -> bytes:
-    data = fh.read(n_bytes)
-    if len(data) != n_bytes:
-        raise CheckpointError(f"truncated checkpoint: needs {n_bytes} more bytes, "
-                              f"found {len(data)}")
-    return data
-
-
-def _unpack(fh, fmt: str) -> tuple:
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            members = {name: np.asarray(arr, dtype=np.float64) for name, arr in records.items()}
+            members[META] = np.array([VERSION, cfg_hash, opt_state_version], dtype=np.uint64)
+            members[KIND] = np.array(optimizer_kind)
+            # a file object, not a path: given a str, numpy appends ".npz"
+            np.savez(fh, **members)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_records(path) -> tuple[dict[str, np.ndarray], int, str, int]:
     """Returns (records, config hash, optimizer kind, optimizer state version)."""
     with open(path, "rb") as fh:
-        magic, version, cfg_hash = _unpack(fh, "<4sIQ")
-        if magic != MAGIC:
-            raise CheckpointError(f"not a checkpoint file: bad magic {magic!r}")
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (kind_len,) = _unpack(fh, "<I")
-        kind = _read_exact(fh, kind_len).decode()
-        opt_version, count = _unpack(fh, "<II")
-        records: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = _unpack(fh, "<I")
-            name = _read_exact(fh, name_len).decode()
-            (ndim,) = _unpack(fh, "<I")
-            shape = tuple(_unpack(fh, "<Q")[0] for _ in range(ndim))
-            n_items = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 8 * n_items)).reshape(shape).copy()
-            records[name] = data
-        return records, cfg_hash, kind, opt_version
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            # reading every member checks every CRC
+            records = {name: archive[name] for name in getattr(archive, "files", ())}
+            if META not in records or KIND not in records:
+                raise CheckpointError(f"not a checkpoint: no {META!r} member")
+            version, cfg_hash, opt_version = (int(v) for v in records.pop(META))
+            if version != VERSION:
+                raise CheckpointError(f"unsupported checkpoint format version {version}, "
+                                      f"this code reads version {VERSION}")
+            kind = str(records.pop(KIND))
+        except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+            raise CheckpointError(f"unreadable checkpoint archive: {exc}") from exc
+    return records, cfg_hash, kind, opt_version

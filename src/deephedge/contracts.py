@@ -168,30 +168,23 @@ def cliquet_payoff_batch(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:
     return np.maximum(capped.sum(axis=1), 0.0)
 
 
+def _reset_schedule(spec: CliquetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per step t < T: the number of completed periods, the latest reset on
+    or before t (0 in the first period) and the next reset after t."""
+    bounds = np.array((0,) + spec.resets)
+    completed = np.searchsorted(spec.resets, np.arange(spec.maturity), side="right")
+    return completed, bounds[completed], bounds[completed + 1]
+
+
 def running_cliquet_batch(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:
     """Running cliquet value for every step t in 0..T-1; shape (n, T)."""
-    n, n_steps = spot.shape[0], spec.maturity
     idx = (0,) + spec.resets
     capped = np.minimum(spot[:, idx[1:]] / spot[:, idx[:-1]] - 1.0, spec.cap)
-    completed = np.concatenate([np.zeros((n, 1)), np.cumsum(capped, axis=1)], axis=1)
-    out = np.empty((n, n_steps))
-    for t in range(n_steps):
-        j = np.searchsorted(spec.resets, t, side="right")  # completed periods
-        last_reset = 0 if j == 0 else spec.resets[j - 1]
-        stub = np.minimum(spot[:, t] / spot[:, last_reset] - 1.0, spec.cap)
-        out[:, t] = np.maximum(completed[:, j] + stub, 0.0)
-    return out
-
-
-def last_reset_spot(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:
-    """Spot at the latest reset on or before each step t < T; shape (n, T)."""
-    n, n_steps = spot.shape[0], spec.maturity
-    out = np.empty((n, n_steps))
-    for t in range(n_steps):
-        j = np.searchsorted(spec.resets, t, side="right")
-        last_reset = 0 if j == 0 else spec.resets[j - 1]
-        out[:, t] = spot[:, last_reset]
-    return out
+    completed = np.concatenate([np.zeros((spot.shape[0], 1)), np.cumsum(capped, axis=1)],
+                               axis=1)
+    j, last_reset, _ = _reset_schedule(spec)
+    stub = np.minimum(spot[:, :spec.maturity] / spot[:, last_reset] - 1.0, spec.cap)
+    return np.maximum(completed[:, j] + stub, 0.0)
 
 
 N_FEATURES = 6
@@ -206,16 +199,13 @@ def feature_tensor(paths, spec: CliquetSpec) -> np.ndarray:
     n, n_steps = spot.shape[0], spec.maturity
     if spot.shape[1] - 1 != n_steps:
         raise ValueError("path horizon does not match the cliquet maturity")
+    t = np.arange(n_steps)
+    _, last_reset, next_reset = _reset_schedule(spec)
     feats = np.empty((n, n_steps, N_FEATURES))
-    resets = spec.resets
-    for t in range(n_steps):
-        j = np.searchsorted(resets, t, side="right")
-        last_reset = 0 if j == 0 else resets[j - 1]
-        next_reset = resets[j] if j < len(resets) else n_steps
-        feats[:, t, 0] = t / n_steps
-        feats[:, t, 1] = (t - last_reset) / (next_reset - last_reset)
+    feats[:, :, 0] = t / n_steps
+    feats[:, :, 1] = (t - last_reset) / (next_reset - last_reset)
     feats[:, :, 2] = spot[:, :n_steps]
-    feats[:, :, 3] = last_reset_spot(spot, spec)
+    feats[:, :, 3] = spot[:, last_reset]
     feats[:, :, 4] = variance[:, :n_steps]
     feats[:, :, 5] = running_cliquet_batch(spot, spec)
     return feats

@@ -153,24 +153,27 @@ def _integer(v, where: str) -> int:
     return int(v)
 
 
-def _section(cls, raw: dict, where: str):
+def _section(cls, raw: dict, where: str, fields: dict[str, str] | None = None):
     """``cls(**raw)`` under one type rule: a float field takes ``float(v)``,
     an int field needs an integer and a bool field a bool, so that no value
-    is truncated or reaches the training loop as a string. A key ``cls``
-    does not know is left for it to reject."""
+    is truncated or reaches the training loop as a string. ``fields`` maps a
+    key to the field it sets where the two names differ. Only the keys given
+    are passed, so each default lives in ``cls``; a key ``cls`` does not
+    know is left for it to reject."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
     kinds = typing.get_type_hints(cls)
     values = {}
     for key, v in raw.items():
-        kind = kinds.get(key)
+        field = (fields or {}).get(key, key)
+        kind = kinds.get(field)
         if kind is bool and not isinstance(v, bool):
             raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
         if kind is int:
             v = _integer(v, f"{where}.{key}")
         if kind is float or (kind == float | None and v is not None):
             v = float(v)
-        values[key] = v
+        values[field] = v
     return cls(**values)
 
 
@@ -191,14 +194,11 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
     try:
         _known(raw, "market grid cliquet costs objective policy optimizer data training seed",
                "config")
-        m = _known(_require(raw, "market", "config"),
-                   "x0 v0 kappa theta xi rho dt substeps", "market")
-        market = mk.HestonParams(
-            x0=float(m.get("x0", 1.0)), v0=float(m.get("v0", 0.0625)),
-            kappa=float(m.get("kappa", 8.0)), theta=float(m.get("theta", 0.0625)),
-            xi=float(m.get("xi", 1.0)), rho=float(m.get("rho", -0.7)))
-        dt = float(m.get("dt", 1.0 / 250.0))
-        substeps = _integer(m.get("substeps", 2), "market.substeps")
+        m = dict(_known(_require(raw, "market", "config"),
+                        "x0 v0 kappa theta xi rho dt substeps", "market"))
+        dt = float(m.pop("dt", 1.0 / 250.0))
+        substeps = _integer(m.pop("substeps", 2), "market.substeps")
+        market = _section(mk.HestonParams, m, "market")
         grid_map = {_integer(k, "grid maturity"): [float(x) for x in v]
                     for k, v in _require(raw, "grid", "config").items()}
         grid = ct.GridSpec.from_ratio_map(grid_map)
@@ -207,16 +207,13 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
                                  resets=tuple(_integer(r, "cliquet.resets entry")
                                               for r in cl["resets"]))
         co = _known(raw.get("costs", {}), "spot option l2_multiplier", "costs")
-        costs = ct.CostSpec(spot_cost=float(co.get("spot", 1e-4)),
-                            option_cost=float(co.get("option", 1e-2)),
-                            l2_multiplier=float(co.get("l2_multiplier", 8.0)))
+        costs = _section(ct.CostSpec, co, "costs",
+                         {"spot": "spot_cost", "option": "option_cost"})
         ob = _known(raw.get("objective", {}), "risk_aversion", "objective")
         gamma = float(ob.get("risk_aversion", 1000.0))
         p = _known(raw.get("policy", {}), "hidden blocks head_scale", "policy")
-        policy_cfg = pol.PolicyConfig(
-            action_dim=grid.d, hidden=_integer(p.get("hidden", 32), "policy.hidden"),
-            n_blocks=_integer(p.get("blocks", 4), "policy.blocks"),
-            head_scale=float(p.get("head_scale", 1e-3)))
+        policy_cfg = _section(pol.PolicyConfig, {**p, "action_dim": grid.d}, "policy",
+                              {"blocks": "n_blocks"})
         o = _known(raw.get("optimizer", {}), "name kfac adam", "optimizer")
         name = optimizer_override or o.get("name", "kfac")
         if name not in ("kfac", "adam"):
@@ -356,7 +353,6 @@ class TrainResult:
     checkpoint_path: str
     metrics_path: str
     iterations_run: int
-    final_val_loss: float
     reached_target: bool
     target_iteration: int | None
 
@@ -406,7 +402,17 @@ def _train_iteration_adam(cfg, params, adam, ds_train, idx):
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
           datasets: dict[str, Dataset] | None = None) -> TrainResult:
-    """Run the configured optimizer; writes metrics, manifest, checkpoint.
+    """Run the configured optimizer for ``training.max_iterations``
+    iterations, or until a validation loss reaches ``training.val_target``.
+
+    Writes ``manifest.json`` and one ``metrics.csv`` row per iteration into
+    ``outdir``, then ``checkpoint.dhck`` (:mod:`deephedge.checkpoint`) with
+    the parameters, the optimizer state and the divergence guard's state.
+    ``resume_from`` names a checkpoint of the same config and optimizer;
+    the run continues from its iteration and appends to the metrics. The
+    result holds paths and counts, not a loss: the metrics hold the
+    validation losses, and ``dataset_objective`` scores the checkpoint's
+    parameters.
 
     A run that stops on ``DiffError``, ``OptimError`` or ``TrainingDiverged``
     still writes its checkpoint, as of the last iteration that wrote its
@@ -466,7 +472,6 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     order_epoch = -1
     reached = False
     target_iteration = None
-    val_loss = float("nan")
 
     ckpt_path = outdir / "checkpoint.dhck"
 
@@ -505,7 +510,6 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             new_val = float("nan")
             if it % tcfg.val_every == 0:
                 new_val = dataset_objective(params, ds_val, gamma, costs)
-                val_loss = new_val
                 if math.isnan(initial_val):
                     initial_val = new_val
                 if new_val > tcfg.divergence_factor * initial_val:
@@ -534,11 +538,9 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
 
     iterations_run = (target_iteration + 1) if reached else tcfg.max_iterations
     save_checkpoint(_train_records(params, optimizer, initial_val, divergence_run))
-    final_val = val_loss if math.isfinite(val_loss) else dataset_objective(
-        params, ds_val, gamma, costs)
     return TrainResult(checkpoint_path=str(ckpt_path), metrics_path=str(metrics_path),
-                       iterations_run=iterations_run, final_val_loss=final_val,
-                       reached_target=reached, target_iteration=target_iteration)
+                       iterations_run=iterations_run, reached_target=reached,
+                       target_iteration=target_iteration)
 
 
 def _train_records(params, optimizer, initial_val: float, divergence_run: int) -> dict:

@@ -65,11 +65,7 @@ class PathSet:
 
     spot: np.ndarray
     variance: np.ndarray
-    dt: float
     substeps: int
-    seed: int
-    stream: int
-    params: HestonParams
     clamp_fraction: float = 0.0
 
     @property
@@ -127,8 +123,7 @@ def simulate(params: HestonParams, n_paths: int, n_steps: int, dt: float,
     frac = clamped / float(n_paths * n_steps * substeps)
     if frac > 0:
         log.info("variance clamped on %.4f%% of substeps", 100.0 * frac)
-    return PathSet(spot=spot, variance=variance, dt=dt, substeps=substeps,
-                   seed=seed, stream=stream, params=params, clamp_fraction=frac)
+    return PathSet(spot=spot, variance=variance, substeps=substeps, clamp_fraction=frac)
 
 
 # ---------------------------------------------------------------------------

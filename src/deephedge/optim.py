@@ -149,11 +149,11 @@ def pseudo_backward(params: pol.PolicyParams, rollout_fn, hessian: ct.InnerHessi
                     rng: np.random.Generator) -> PseudoGradient:
     """Backpropagate <s, u> for one sampled path.
 
-    ``rollout_fn(params)`` must unroll the policy (or any toy model) on
-    that path with capture enabled and return a RolloutResult whose
-    action nodes form the vector u. The target s is drawn so that its
-    covariance equals the action-space curvature, making the covariance
-    of the returned parameter gradients the Gauss-Newton matrix.
+    ``rollout_fn(params)`` must unroll the policy on that path with
+    capture enabled and return a RolloutResult whose action nodes form
+    the vector u. The target s is drawn so that its covariance equals the
+    action-space curvature, making the covariance of the returned
+    parameter gradients the Gauss-Newton matrix.
     """
     result = rollout_fn(params)
     n_steps = len(result.action_nodes)

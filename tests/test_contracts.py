@@ -220,6 +220,12 @@ def test_feature_tensor_layout(small_paths):
     assert np.array_equal(feats[:, 12, 3], small_paths.spot[:, 10])
     assert np.array_equal(feats[:, :, 4], small_paths.variance[:, :20])
     assert np.all(feats[:, 0, 5] == 0.0)
+    for t in range(20):   # the reset schedule, step by step
+        last = max([0] + [r for r in spec.resets if r <= t])
+        nxt = min(r for r in spec.resets if r > t)
+        assert np.all(feats[:, t, 0] == t / 20)
+        assert np.all(feats[:, t, 1] == (t - last) / (nxt - last))
+        assert np.array_equal(feats[:, t, 3], small_paths.spot[:, last])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,12 +157,15 @@ GOLDEN_TRAIN_LOSS = {
 def test_train_writes_metrics_and_a_matching_checkpoint(tmp_path, toy_datasets, name):
     cfg = harness.build_config(copy.deepcopy(TOY), optimizer_override=name)
     result = harness.train(cfg, tmp_path, datasets=toy_datasets)
-    lines = open(result.metrics_path).read().splitlines()
+    lines = Path(result.metrics_path).read_text().splitlines()
     assert lines[0] == harness.METRICS_HEADER
     assert [float(row.split(",")[1]) for row in lines[1:]] == GOLDEN_TRAIN_LOSS[name]
     records, cfg_hash, kind, version = ckpt.load_records(result.checkpoint_path)
     opt_cls = op.KfacOptimizer if name == "kfac" else op.AdamOptimizer
     assert (cfg_hash, kind, version) == (cfg.identity_hash(), name, opt_cls.STATE_VERSION)
+    # any numpy reads the checkpoint without this package
+    with np.load(result.checkpoint_path, allow_pickle=False) as archive:
+        assert np.array_equal(archive["head"], records["head"])
     assert result.iterations_run == 3
 
 
@@ -181,7 +185,7 @@ def _resume_records(path):
 
 
 def _metrics_without_wall_ms(path):
-    return [row.rsplit(",", 1)[0] for row in open(path).read().splitlines()]
+    return [row.rsplit(",", 1)[0] for row in Path(path).read_text().splitlines()]
 
 
 # Four iterations, not more: KFAC at the TOY defaults overflows at the fifth.
@@ -281,18 +285,18 @@ def test_evaluate_agrees_with_the_validation_objective(toy_evaluation):
 def test_evaluation_files_and_exports(tmp_path, toy_evaluation):
     cfg, _, _, result = toy_evaluation
     summary, dump = harness.write_evaluation(tmp_path, result)
-    assert json.loads(open(summary).read()) == result["report"]
-    rows = open(dump).read().splitlines()
+    assert json.loads(Path(summary).read_text()) == result["report"]
+    rows = Path(dump).read_text().splitlines()
     assert rows[0] == harness.PER_PATH_HEADER and len(rows) == 33
     assert np.array_equal(np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]]),
                           result["per_path"])
 
-    hist = open(harness.export_pnl_histogram(dump, tmp_path, bins=10)).read().splitlines()
+    hist = Path(harness.export_pnl_histogram(dump, tmp_path, bins=10)).read_text().splitlines()
     assert hist[0] == "kind,bin_left,bin_right,count" and len(hist) == 1 + 3 * 10
     for kind in ("hedged", "delta_only", "unhedged"):
         assert sum(int(r.split(",")[3]) for r in hist[1:] if r.startswith(kind + ",")) == 32
 
-    fans = open(harness.export_hedge_fans(summary, tmp_path)).read().splitlines()
+    fans = Path(harness.export_hedge_fans(summary, tmp_path)).read_text().splitlines()
     n_steps, d = cfg.cliquet.maturity, cfg.grid.d
     assert fans[0] == "t,instrument,q05,q25,q50,q75,q95" and len(fans) == 1 + n_steps * d
     quantiles = np.array(result["report"]["action_quantiles"]["values"])
@@ -305,4 +309,4 @@ def test_pnl_histogram_of_an_empty_evaluation_is_its_header(tmp_path):
     dump = tmp_path / "empty.csv"
     dump.write_text(harness.PER_PATH_HEADER + "\n")
     out = harness.export_pnl_histogram(dump, tmp_path / "out")
-    assert open(out).read() == "kind,bin_left,bin_right,count\n"
+    assert Path(out).read_text() == "kind,bin_left,bin_right,count\n"

@@ -81,52 +81,41 @@ def test_a_stays_symmetric_psd_under_random_updates():
 # pseudo-gradients
 
 
-def _toy_rollout_factory(features, mask):
-    """12-parameter action-recurrent toy model built on the tape engine:
-    u_t = symexp(W [f_t; u_{t-1}; 1]) with d = 2, three features."""
-    n_steps = features.shape[0]
-
-    def rollout_fn(params: pol.PolicyParams):
-        tape = dc.Tape()
-        w = tape.parameter("w", params.values["w"])
-        chan = dc.HookChannel("w")
-        u = tape.constant(np.zeros((1, 2)))
-        mask_nodes = [tape.constant(mask[t:t + 1]) for t in range(n_steps)]
-        actions = []
-        for t in range(n_steps):
-            f_t = tape.constant(features[t:t + 1])
-            u = dc.multiply(dc.symexp(dc.affine(dc.concat([f_t, u]), w, channel=chan)),
-                            mask_nodes[t])
-            actions.append(u)
-        return pol.RolloutResult(tape=tape, action_nodes=actions, channels={"w": chan})
-
-    return rollout_fn
+# A one-block policy of width 2 with an unscaled head: 66 parameters.
+TINY_POLICY = pol.PolicyConfig(action_dim=2, hidden=2, n_blocks=1, head_scale=1.0)
 
 
-class _ToyParams:
-    def __init__(self, w):
-        self.values = {"w": w}
-        self.kronecker_names = ["w"]
+def _one_path(seed):
+    """Initial parameters, and the features and mask of one three-step path
+    whose option is struck out at the last step."""
+    rng = np.random.default_rng(seed)
+    params = pol.init_params(TINY_POLICY, rng)
+    features = rng.normal(size=(1, 3, TINY_POLICY.n_features)) * 0.5
+    mask = np.ones((3, 2))
+    mask[2, 1] = 0.0
+    return params, features, mask
+
+
+def _pseudo_gradient(params, features, mask, hessian, rng) -> np.ndarray:
+    """All parameter pseudo-gradients, flattened in the order of ``params.values``."""
+    def rollout_fn(p):
+        return pol.rollout(p, features, mask, capture=True)
+
+    grads = op.pseudo_backward(params, rollout_fn, hessian, rng).grads
+    assert grads.keys() == params.values.keys()
+    return np.concatenate([g.ravel() for g in grads.values()])
 
 
 def test_pseudo_backward_zero_target_gives_zero():
-    rng = np.random.default_rng(4)
-    features = rng.normal(size=(3, 3)) * 0.3
-    mask = np.ones((3, 2))
-    rollout_fn = _toy_rollout_factory(features, mask)
-    params = _ToyParams(rng.normal(size=(2, 6)) * 0.3)
+    params, features, mask = _one_path(4)
     h = ct.InnerHessian(gamma=0.0, r_vec=np.zeros(6), diag=np.zeros(6))
-    pg = op.pseudo_backward(params, rollout_fn, h, rng)
-    assert np.all(pg.grads["w"] == 0.0)
+    g = _pseudo_gradient(params, features, mask, h, np.random.default_rng(4))
+    assert g.size == 66 and np.all(g == 0.0)
 
 
 def test_pseudo_backward_linear_in_target():
-    rng = np.random.default_rng(5)
-    features = rng.normal(size=(3, 3)) * 0.3
-    mask = np.ones((3, 2))
-    rollout_fn = _toy_rollout_factory(features, mask)
-    params = _ToyParams(rng.normal(size=(2, 6)) * 0.3)
-    r = rng.normal(size=6) * 0.1
+    params, features, mask = _one_path(5)
+    r = np.random.default_rng(5).normal(size=6) * 0.1
 
     class FixedRng:
         def __init__(self, z0):
@@ -138,40 +127,38 @@ def test_pseudo_backward_linear_in_target():
             return np.zeros(size)
 
     h = ct.InnerHessian(gamma=0.5, r_vec=r, diag=np.zeros(6))
-    g1 = op.pseudo_backward(params, rollout_fn, h, FixedRng(1.0)).grads["w"]
-    g2 = op.pseudo_backward(params, rollout_fn, h, FixedRng(2.0)).grads["w"]
-    assert np.allclose(g2, 2.0 * g1, atol=1e-15)
+    g1 = _pseudo_gradient(params, features, mask, h, FixedRng(1.0))
+    g2 = _pseudo_gradient(params, features, mask, h, FixedRng(2.0))
+    assert np.abs(g1).max() > 0.0 and np.allclose(g2, 2.0 * g1, rtol=0.0, atol=1e-15)
 
 
 def test_pseudo_gradient_covariance_matches_gauss_newton():
-    # Core identity: Cov(pseudo-gradient) = J^T H J with a finite-difference
-    # Jacobian oracle, on the 12-parameter toy policy.
+    # Core identity: Cov(pseudo-gradient) = J^T H J on the policy itself, with
+    # a finite-difference Jacobian of its forward-only actions as the oracle.
+    params, features, mask = _one_path(6)
+    theta0 = np.concatenate([v.ravel() for v in params.values.values()])
+
+    def actions_of(theta):
+        values, at = {}, 0
+        for name, v in params.values.items():
+            values[name] = theta[at:at + v.size].reshape(v.shape)
+            at += v.size
+        p = pol.PolicyParams(TINY_POLICY, values)
+        return pol.rollout(p, features, mask, record=False).actions.ravel()
+
+    jac = central_diff_jacobian(actions_of, theta0.copy(), m=6)
+    assert jac.shape == (6, 66) and np.all(jac[5] == 0.0)   # the struck-out entry
+
     rng = np.random.default_rng(6)
-    features = rng.normal(size=(3, 3)) * 0.4
-    mask = np.ones((3, 2))
-    mask[2, 1] = 0.0
-    rollout_fn = _toy_rollout_factory(features, mask)
-    w0 = rng.normal(size=(2, 6)) * 0.4
-    params = _ToyParams(w0)
-
-    def actions_of(w_flat):
-        p = _ToyParams(w_flat.reshape(2, 6))
-        res = rollout_fn(p)
-        return np.concatenate([n.value.ravel() for n in res.action_nodes])
-
-    jac = central_diff_jacobian(actions_of, w0.ravel().copy(), m=6)
-
     returns = rng.normal(size=(3, 2)) * 0.1
     returns[mask == 0.0] = 0.0
     h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec(
         spot_cost=1e-3, option_cost=5e-3))
     want = jac.T @ inner_hessian_dense(h) @ jac
 
-    n = 10_000
-    samples = np.empty((n, 12))
+    n = 3_000
     srng = np.random.default_rng(7)
-    for i in range(n):
-        samples[i] = op.pseudo_backward(params, rollout_fn, h, srng).grads["w"].ravel()
+    samples = np.stack([_pseudo_gradient(params, features, mask, h, srng) for _ in range(n)])
     emp = samples.T @ samples / n
     prods = np.einsum("ni,nj->nij", samples, samples)
     se = prods.std(axis=0, ddof=1) / np.sqrt(n)
