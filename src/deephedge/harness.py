@@ -311,8 +311,8 @@ def dataset_objective(params: pol.PolicyParams, ds: Dataset, gamma: float,
                       costs: ct.CostSpec) -> float:
     """Validation-style loss on a full dataset: same estimator as training
     (unbiased PnL variance plus mean costs), forward-only."""
-    res = pol.rollout(params, ds.features, ds.mask, record=False)
-    return ct.objective_value(res.actions, ds.returns, ds.payoff, gamma, costs)
+    actions = pol.rollout(params, ds.features, ds.mask, record=False).actions
+    return ct.objective_value(actions, ds.returns, ds.payoff, gamma, costs)
 
 
 def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
@@ -339,8 +339,6 @@ def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
         sq_sum += float((per_path ** 2).sum())
         mean_grad = per_path.mean(axis=0)
         mean_sq += float((mean_grad ** 2).sum())
-    if n < 2:
-        return 0.0
     return (sq_sum / n - mean_sq) * n / (n - 1)
 
 
@@ -357,53 +355,37 @@ class TrainResult:
     target_iteration: int | None
 
 
-def _train_iteration_kfac(cfg, params, kfac, ds_train, idx, iteration):
+def _train_iteration(cfg, params, optimizer, ds_train, idx, iteration):
+    """One step of either optimizer on the batch ``idx``; returns the batch
+    loss and the step size (KFAC's eta, Adam's learning rate)."""
     gamma, costs = cfg.risk_aversion, cfg.costs
-    capture = kfac.wants_input_stats
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask, capture=capture)
+    kfac = isinstance(optimizer, op.KfacOptimizer)
+    res = pol.rollout(params, ds_train.features[idx], ds_train.mask,
+                      capture=kfac and optimizer.wants_input_stats)
+    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
+                                   ds_train.payoff[idx], gamma, costs)
+    loss = float(loss_node.value[0, 0])
     # Differentiate first: backward is where a non-finite batch raises, so
-    # the factor updates below never see its captures.
-    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
-                                   ds_train.payoff[idx], gamma, costs)
-    loss = float(loss_node.value[0, 0])
+    # the curvature update never sees its captures.
     grads = dc.backward(loss_node)
-    if capture:
-        kfac.update_input_stats(res.channels, batch_size=idx.size)
-
-    pick = int(rs.stream(cfg.seed, rs.PSEUDO_PATH, iteration).integers(idx.size))
-    row = int(idx[pick])
-    path_returns = ds_train.returns[row]
-    hessian = ct.inner_hessian(path_returns, gamma, costs)
-    feats_row = ds_train.features[row:row + 1]
-
-    def pseudo_rollout(p):
-        return pol.rollout(p, feats_row, ds_train.mask, capture=True)
-
-    noise = rs.stream(cfg.seed, rs.PSEUDO_NOISE, iteration)
-    pseudo = op.pseudo_backward(params, pseudo_rollout, hessian, noise)
-    kfac.update_output_stats(pseudo)
-    if kfac.wants_eigenbasis:
-        kfac.update_eigenbasis()
-    pre = kfac.precondition(grads)
-    eta = kfac.apply_step(params, pre, grads)
-    return loss, eta
-
-
-def _train_iteration_adam(cfg, params, adam, ds_train, idx):
-    gamma, costs = cfg.risk_aversion, cfg.costs
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask)
-    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
-                                   ds_train.payoff[idx], gamma, costs)
-    loss = float(loss_node.value[0, 0])
-    grads = dc.backward(loss_node)
-    eta = adam.apply_step(params, grads)
-    return loss, eta
+    if kfac:
+        row = idx[rs.stream(cfg.seed, rs.PSEUDO_PATH, iteration).integers(idx.size)]
+        optimizer.update_curvature(
+            params, res.channels, ds_train.features[row:row + 1], ds_train.mask,
+            ct.inner_hessian(ds_train.returns[row], gamma, costs),
+            rs.stream(cfg.seed, rs.PSEUDO_NOISE, iteration))
+    return loss, optimizer.apply_step(params, grads)
 
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
           datasets: dict[str, Dataset] | None = None) -> TrainResult:
     """Run the configured optimizer for ``training.max_iterations``
     iterations, or until a validation loss reaches ``training.val_target``.
+
+    Every iteration, for either optimizer, is one batch rollout, objective
+    and backward; KFAC then updates its curvature model from the batch's
+    captures and one pseudo-path drawn from the batch, and the optimizer
+    steps on the batch gradient.
 
     Writes ``manifest.json`` and one ``metrics.csv`` row per iteration into
     ``outdir``, then ``checkpoint.dhck`` (:mod:`deephedge.checkpoint`) with
@@ -491,16 +473,11 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
                 order_epoch = epoch
             idx = order[j * tcfg.batch_size:(j + 1) * tcfg.batch_size]
 
+            train_loss, eta = _train_iteration(cfg, params, optimizer, ds_train, idx, it)
+            rho_tr = max_scale = float("nan")
             if cfg.optimizer_name == "kfac":
-                train_loss, eta = _train_iteration_kfac(cfg, params, optimizer,
-                                                        ds_train, idx, it)
                 rho_tr = optimizer.rho_tr
                 max_scale = optimizer.max_damped_scale()
-            else:
-                train_loss, eta = _train_iteration_adam(cfg, params, optimizer,
-                                                        ds_train, idx)
-                rho_tr = float("nan")
-                max_scale = float("nan")
 
             grad_var = float("nan")
             if tcfg.probe_every > 0 and it % tcfg.probe_every == 0:
@@ -573,17 +550,14 @@ def evaluate(cfg: ExperimentConfig, params: pol.PolicyParams,
     """Hedge analysis on a held-out set.
 
     Besides the full policy, reports the unhedged book and a delta-only
-    variant where every option action is zeroed at evaluation time, so
+    variant that keeps the spot trades and drops every option trade, so
     the option contribution to risk reduction is isolated.
     """
-    res = pol.rollout(params, ds_test.features, ds_test.mask, record=False)
-    actions = res.actions
+    actions = pol.rollout(params, ds_test.features, ds_test.mask, record=False).actions
     c_lin = cfg.costs.linear(cfg.grid.d)
     pnl, cost = ct.hedged_pnl(actions, ds_test.returns, ds_test.payoff, c_lin)
-    delta_only = actions.copy()
-    delta_only[:, :, 1:] = 0.0
-    pnl_delta, cost_delta = ct.hedged_pnl(delta_only, ds_test.returns,
-                                          ds_test.payoff, c_lin)
+    pnl_delta, cost_delta = ct.hedged_pnl(actions[:, :, :1], ds_test.returns[:, :, :1],
+                                          ds_test.payoff, c_lin[:1])
     unhedged = -ds_test.payoff
 
     def stats(x, costs_vec=None):

@@ -11,6 +11,11 @@ pathwise surrogate loss, so the parameter-space covariance of the
 pseudo-gradient is exactly the generalized Gauss-Newton matrix the
 scheme approximates.
 
+Both optimizers step on the batch gradient through ``apply_step``. Before
+that, ``KfacOptimizer.update_curvature`` does one iteration's curvature
+work in order: input factors from the batch's hook captures, one
+pseudo-backward, output factors and D, and the eigenbases on their cadence.
+
 Damping shrinks each block's eigen-spectrum linearly toward its own mean
 scale (trace preserving) instead of adding a shared ridge. Step sizes
 come from a decaying trust region on the preconditioned-gradient inner
@@ -137,25 +142,19 @@ def damped_scale(scale: np.ndarray, shrinkage: float) -> np.ndarray:
     return (1.0 - shrinkage) * scale + shrinkage * m
 
 
-@dataclass
-class PseudoGradient:
-    """Output of one pseudo-backward pass on a single path."""
+def pseudo_backward(params: pol.PolicyParams, features: np.ndarray, mask: np.ndarray,
+                    hessian: ct.InnerHessian, rng: np.random.Generator
+                    ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+    """Backpropagate <s, u> along one path.
 
-    grads: dict[str, np.ndarray]               # parameter pseudo-gradients
-    step_grads: dict[str, list[np.ndarray]]    # per-step pre-activation grads
-
-
-def pseudo_backward(params: pol.PolicyParams, rollout_fn, hessian: ct.InnerHessian,
-                    rng: np.random.Generator) -> PseudoGradient:
-    """Backpropagate <s, u> for one sampled path.
-
-    ``rollout_fn(params)`` must unroll the policy on that path with
-    capture enabled and return a RolloutResult whose action nodes form
-    the vector u. The target s is drawn so that its covariance equals the
-    action-space curvature, making the covariance of the returned
-    parameter gradients the Gauss-Newton matrix.
+    Unrolls the policy over ``features`` (1, T, f) with capture, so u is
+    the path's (T, d) actions. The target s is drawn so that its covariance
+    equals the action-space curvature ``hessian``, making the covariance of
+    the parameter gradients the Gauss-Newton matrix. Returns those
+    gradients and, per Kronecker block, the per-step pre-activation
+    gradients its hook channel recorded.
     """
-    result = rollout_fn(params)
+    result = pol.rollout(params, features, mask, capture=True)
     n_steps = len(result.action_nodes)
     d = result.action_nodes[0].value.shape[1]
     if hessian.r_vec.size != n_steps * d:
@@ -165,8 +164,7 @@ def pseudo_backward(params: pol.PolicyParams, rollout_fn, hessian: ct.InnerHessi
     s = ct.sample_pseudo_target(hessian, rng).reshape(1, n_steps, d)
     sums = dc.hedge_accumulate(result.action_nodes, s, np.zeros(d))
     grads = dc.backward(dc.total(dc.slice_cols(sums, 0, 1)), hooks=result.channels.values())
-    step_grads = {name: chan.grads for name, chan in result.channels.items()}
-    return PseudoGradient(grads=grads, step_grads=step_grads)
+    return grads, {name: chan.grads for name, chan in result.channels.items()}
 
 
 class KfacOptimizer:
@@ -193,8 +191,24 @@ class KfacOptimizer:
 
     # -- statistics updates ---------------------------------------------------
 
-    def update_input_stats(self, channels: dict[str, dc.HookChannel], batch_size: int) -> None:
-        """EMA of the activation second moment, scaled by sqrt(T) overall."""
+    def update_curvature(self, params: pol.PolicyParams, channels: dict[str, dc.HookChannel],
+                         features: np.ndarray, mask: np.ndarray, hessian: ct.InnerHessian,
+                         rng: np.random.Generator) -> None:
+        """One iteration's curvature work, after the batch backward has
+        checked the batch: the input factors when ``channels`` holds the
+        batch's captures, then one pseudo-backward along ``features``
+        (1, T, f) with curvature ``hessian`` and noise ``rng``, the output
+        factors and D from it, and the eigenbases on their cadence."""
+        if channels:
+            self.update_input_stats(channels)
+        grads, step_grads = pseudo_backward(params, features, mask, hessian, rng)
+        self.update_output_stats(grads, step_grads)
+        if self.wants_eigenbasis:
+            self.update_eigenbasis()
+
+    def update_input_stats(self, channels: dict[str, dc.HookChannel]) -> None:
+        """EMA of the activation second moment, scaled by sqrt(T) overall;
+        the batch size is the row count of the captures."""
         beta = self.config.beta_factor
         for name, block in self.blocks.items():
             if block.a_cov is None:
@@ -202,23 +216,26 @@ class KfacOptimizer:
             chan = channels[name]
             stacked = np.concatenate(chan.activations, axis=0)
             n_steps = len(chan.activations)
+            batch_size = chan.activations[0].shape[0]
             contrib = stacked.T @ stacked / (batch_size * np.sqrt(n_steps))
             block.a_cov *= beta
             block.a_cov += (1.0 - beta) * contrib
 
-    def update_output_stats(self, pseudo: PseudoGradient) -> None:
-        """EMA of pre-activation pseudo-gradient moments and of the
-        eigenbasis second moments (elementwise square after rotation)."""
+    def update_output_stats(self, grads: dict[str, np.ndarray],
+                            step_grads: dict[str, list[np.ndarray]]) -> None:
+        """EMA of pre-activation pseudo-gradient moments (``step_grads``) and
+        of the eigenbasis second moments of the parameter pseudo-gradients
+        ``grads`` (elementwise square after rotation)."""
         beta_f = self.config.beta_factor
         beta_d = self.config.beta_scale
         for name, block in self.blocks.items():
             if block.g_cov is not None:
-                gs = pseudo.step_grads[name]
+                gs = step_grads[name]
                 stacked = np.concatenate(gs, axis=0)
                 contrib = stacked.T @ stacked / np.sqrt(len(gs))
                 block.g_cov *= beta_f
                 block.g_cov += (1.0 - beta_f) * contrib
-            rotated = block.q_g.T @ pseudo.grads[name] @ block.q_a
+            rotated = block.q_g.T @ grads[name] @ block.q_a
             block.scale *= beta_d
             block.scale += (1.0 - beta_d) * rotated ** 2
 
@@ -244,9 +261,10 @@ class KfacOptimizer:
             out[name] = block.q_g @ rotated @ block.q_a.T
         return out
 
-    def apply_step(self, params: pol.PolicyParams, preconditioned: dict[str, np.ndarray],
-                   grads: dict[str, np.ndarray]) -> float:
-        """Trust-region step size, momentum, parameter update; returns eta."""
+    def apply_step(self, params: pol.PolicyParams, grads: dict[str, np.ndarray]) -> float:
+        """Precondition the batch gradient, then trust-region step size,
+        momentum and parameter update; returns eta."""
+        preconditioned = self.precondition(grads)
         inner = 0.0
         for name in grads:
             inner += float((preconditioned[name] * grads[name]).sum())

@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` wraps package functions by name and skips any that
 are gone, so a rename would silently drop a traced layer; only the slow
-smoke test of the benchmark would notice. This reads ``perfbench/`` and
-changes nothing there.
+smoke test of the benchmark would notice. A call that goes round its
+wrapped name is just as silent, so a traced toy run checks that each layer
+records time. This reads ``perfbench/`` and changes nothing there.
 """
 
 import sys
@@ -48,3 +49,42 @@ def test_names_the_benchmark_uses_resolve():
     v = np.array([0.0, 0.1, 0.5])
     fast = cached.unit_call(v, 10, 0.0)
     assert np.abs(fast - cached.pricer.unit_call(v, 10, 0.0)).max() < cached.pricer.tol
+
+
+# Two toy iterations with a validation each and the probe at the first.
+TRACED_TOY = {
+    "market": {},
+    "grid": {10: [1.0]},
+    "cliquet": {"cap": 0.015, "resets": [7, 14, 21]},
+    "data": {"n_train": 64, "n_val": 32},
+    "training": {"batch_size": 32, "max_iterations": 2, "val_every": 1, "probe_paths": 8},
+    "seed": 7,
+}
+
+
+def _traced_metrics(tracing, tmp_path, name):
+    cfg = harness.build_config(dict(TRACED_TOY), optimizer_override=name)
+    datasets = harness.build_datasets(cfg)
+    with tracing.Tracer() as tracer:
+        harness.train(cfg, tmp_path, datasets=datasets)
+    assert tracer.root_mismatch() < 1e-9
+    return tracer.metrics()
+
+
+def test_a_traced_kfac_run_times_every_curvature_call(tracing, tmp_path):
+    # A call that went round its wrapped name would report a silent zero.
+    metrics = _traced_metrics(tracing, tmp_path, "kfac")
+    assert metrics["diffcore.backward.calls"] == 5   # 2 batch, 2 pseudo, 1 probe
+    assert metrics["optim.update_eigenbasis.calls"] == 1
+    for layer in ("optim.pseudo_backward", "optim.update_input_stats",
+                  "optim.update_output_stats", "optim.update_eigenbasis",
+                  "optim.precondition", "optim.kfac_apply_step",
+                  "contracts.inner_hessian"):
+        assert metrics[layer + ".s"] > 0.0, layer
+    assert metrics["optim.adam_apply_step.s"] == 0.0
+
+
+def test_a_traced_adam_run_times_its_step(tracing, tmp_path):
+    metrics = _traced_metrics(tracing, tmp_path, "adam")
+    assert metrics["optim.adam_apply_step.s"] > 0.0
+    assert metrics["optim.pseudo_backward.s"] == 0.0

@@ -282,6 +282,22 @@ def test_evaluate_agrees_with_the_validation_objective(toy_evaluation):
     assert report["pnl"]["unhedged"]["mean"] == float(-payoff.mean())
 
 
+def test_delta_only_columns_are_the_spot_trades_alone(toy_evaluation):
+    cfg, params, ds_test, result = toy_evaluation
+    actions = pol.rollout(params, ds_test.features, ds_test.mask, record=False).actions
+    spot_cost = cfg.costs.linear(cfg.grid.d)[0]
+    gains = np.zeros(ds_test.n_paths)
+    cost = np.zeros(ds_test.n_paths)
+    for t in range(cfg.cliquet.maturity):
+        gains += actions[:, t, 0] * ds_test.returns[:, t, 0]
+        cost += np.abs(actions[:, t, 0]) * spot_cost
+    per_path = result["per_path"]
+    assert np.abs(per_path[:, 4] - (gains - ds_test.payoff)).max() < 1e-15
+    assert np.abs(per_path[:, 5] - cost).max() < 1e-15
+    # the option trades are there to drop: the full policy pays more costs
+    assert (per_path[:, 3] > per_path[:, 5]).all()
+
+
 def test_evaluation_files_and_exports(tmp_path, toy_evaluation):
     cfg, _, _, result = toy_evaluation
     summary, dump = harness.write_evaluation(tmp_path, result)
