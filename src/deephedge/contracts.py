@@ -211,11 +211,17 @@ def feature_tensor(paths, spec: CliquetSpec) -> np.ndarray:
     return feats
 
 
+COST_SLAB = 256  # paths per slab of hedged_pnl's |actions|, never taken at full size
+
+
 def hedged_pnl(actions: np.ndarray, returns: np.ndarray, payoff: np.ndarray,
                costs_linear: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terminal PnL (gains minus payoff) and accumulated costs per path."""
     gains = np.einsum("ntd,ntd->n", actions, returns)
-    cost = np.einsum("ntd,d->n", np.abs(actions), costs_linear)
+    cost = np.empty(len(actions))
+    for r0 in range(0, len(actions), COST_SLAB):
+        slab = np.abs(actions[r0:r0 + COST_SLAB])
+        cost[r0:r0 + COST_SLAB] = np.einsum("ntd,d->n", slab, costs_linear)
     return gains - payoff, cost
 
 

@@ -1,8 +1,8 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
 The engine is deliberately small: a define-by-run tape of primitive
-operations on 2-D arrays, rebuilt for every rollout, with exact reverse
-traversal. Rows carry the batch dimension, columns carry features.
+operations on 2-D arrays, rebuilt for every recorded rollout, with exact
+reverse traversal. Rows carry the batch dimension, columns carry features.
 
 Affine layers are represented by a single bias-augmented weight matrix
 (the input gets a trailing column of ones), and each affine node can
@@ -11,7 +11,7 @@ time and the pre-activation gradient at backward time. Summing the
 per-timestep outer products recovers the weight gradient exactly, which
 is the identity the Kronecker-factored curvature estimates rest on.
 
-A recording tape's memory grows with the unroll, so one rule decides
+A tape's memory grows with the unroll, so one rule decides
 what a reverse rule may keep: only the arrays it reads that no parent
 node's value already holds. Anything a parent holds (an affine input, an
 action whose sign is needed) is read back from the parent at backward
@@ -23,11 +23,9 @@ elementwise operations in the same order, so it is bit-identical to the
 array it replaces.
 
 NaN or Inf anywhere is a hard error, not a value, and one rule checks
-for it. A forward-only tape (``record=False``) checks each operation's
-output as it is emitted. A recording tape is checked once, in
-:func:`backward`: a non-finite seed raises naming the first non-finite
-node the tape holds, and a non-finite parameter gradient raises naming
-the parameter.
+for it. A tape is checked once, in :func:`backward`: a non-finite seed
+raises naming the first non-finite node the tape holds, and a
+non-finite parameter gradient raises naming the parameter.
 """
 
 from __future__ import annotations
@@ -121,29 +119,16 @@ class Node:
 
 
 class Tape:
-    """Ordered record of primitive operations.
+    """Ordered record of primitive operations, differentiated by
+    :func:`backward`, which also checks their values for NaN and Inf."""
 
-    With ``record=False`` the tape computes values (including hook input
-    capture) but retains nothing, so no backward pass is possible; use it
-    for evaluation-only forward passes. Such a tape checks that each
-    operation's output is finite as it is emitted. A recording tape
-    defers the check to :func:`backward`, which names the same node.
-    """
-
-    def __init__(self, record: bool = True):
-        self.record = record
+    def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
-        self._n = 0
 
     def _emit(self, value: np.ndarray, parents: tuple, backward_fn,
               op: str, param: str | None = None) -> Node:
-        idx = self._n
-        self._n += 1
-        if not self.record:
-            _ensure_finite(value, op, idx)
-            return Node(self, idx, op, value, (), None, param)
-        node = Node(self, idx, op, value, parents, backward_fn, param)
+        node = Node(self, len(self.nodes), op, value, parents, backward_fn, param)
         self.nodes.append(node)
         return node
 
@@ -515,8 +500,6 @@ def backward(seed: Node, hooks: Iterable[HookChannel] = ()) -> dict[str, Matrix6
     at the end, so a tape cannot be differentiated twice.
     """
     tape = seed.tape
-    if not tape.record:
-        raise DiffError("backward on a non-recording tape")
     if not tape.nodes:
         raise DiffError("backward on a tape that was already differentiated")
     if seed.value.shape != (1, 1):

@@ -567,7 +567,9 @@ def evaluate(cfg: ExperimentConfig, params: pol.PolicyParams,
             out["mean_cost"] = float(costs_vec.mean())
         return out
 
-    quantiles = np.quantile(actions, QUANTS, axis=0)  # (5, T, d)
+    quantiles = np.empty((len(QUANTS),) + actions.shape[1:])  # (5, T, d), step by step
+    for t in range(actions.shape[1]):
+        quantiles[:, t] = np.quantile(np.sort(actions[:, t].T), QUANTS, axis=1)
     report = {
         "identity_hash": cfg.identity_hash(),
         "n_paths": int(ds_test.n_paths),

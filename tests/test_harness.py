@@ -258,6 +258,17 @@ def test_probe_overflow_names_the_op(toy_datasets):
                                         cfg.risk_aversion, cfg.costs, 8)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forward_only_overflow_names_the_step(toy_datasets, toy_evaluation):
+    cfg = harness.build_config(copy.deepcopy(OVERFLOWING))
+    params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    with pytest.raises(dc.DiffError, match="non-finite action at step 0$"):
+        harness.dataset_objective(params, toy_datasets["val"], cfg.risk_aversion, cfg.costs)
+    ds_test = toy_evaluation[2]   # the policy section leaves the data as it is
+    with pytest.raises(dc.DiffError, match="non-finite action at step 0$"):
+        harness.evaluate(cfg, params, ds_test)
+
+
 @pytest.fixture(scope="module")
 def toy_evaluation():
     cfg = harness.build_config(copy.deepcopy(TOY))
@@ -280,6 +291,13 @@ def test_evaluate_agrees_with_the_validation_objective(toy_evaluation):
     assert np.allclose(gains - payoff, pnl, rtol=0.0, atol=1e-15)
     assert report["pnl"]["hedged"]["mean"] == float(pnl.mean())
     assert report["pnl"]["unhedged"]["mean"] == float(-payoff.mean())
+
+
+def test_action_quantiles_are_numpys_over_paths(toy_evaluation):
+    _, params, ds_test, result = toy_evaluation
+    actions = pol.rollout(params, ds_test.features, ds_test.mask, record=False).actions
+    want = np.quantile(actions, harness.QUANTS, axis=0)
+    assert np.array_equal(np.array(result["report"]["action_quantiles"]["values"]), want)
 
 
 def test_delta_only_columns_are_the_spot_trades_alone(toy_evaluation):

@@ -103,14 +103,38 @@ def test_single_step_rollout_equals_forward_step():
     assert np.array_equal(via_rollout, u.value)
 
 
+# Wide enough for BLAS's edge kernels to round differently, which TINY is
+# not, with a head large enough for symexp to be nonlinear.
+ORACLE = pol.PolicyConfig(action_dim=3, hidden=8, n_blocks=4, head_scale=0.1)
+
+
 def test_batch_permutation_leaves_actions_unchanged():
+    # Bit for bit: a path unrolled alone, inside the first block, in a
+    # short last block, or moved across the block boundary.
     rng = np.random.default_rng(5)
-    params = pol.init_params(TINY, rng)
-    features, mask, _, _ = _random_problem(rng, TINY, n=6)
+    params = pol.init_params(ORACLE, rng)
+    n = pol.ROW_BLOCK + 3
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n)
     base = pol.rollout(params, features, mask, record=False).actions
-    perm = np.array([3, 0, 5, 1, 4, 2])
+    for i in (0, 7, pol.ROW_BLOCK - 1, pol.ROW_BLOCK, n - 1):
+        alone = pol.rollout(params, features[i:i + 1], mask, record=False).actions
+        assert np.array_equal(alone[0], base[i]), i
+    perm = rng.permutation(n)   # paths move columns and cross the block boundary
     permuted = pol.rollout(params, features[perm], mask, record=False).actions
     assert np.array_equal(permuted, base[perm])
+
+
+@pytest.mark.parametrize("n", [3, pol.ROW_BLOCK, pol.ROW_BLOCK + 3])
+def test_forward_only_actions_match_the_tape(n):
+    rng = np.random.default_rng(12)
+    params = pol.init_params(ORACLE, rng)
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+    mask[:, 2] = 0.0   # and column 1 drops out for the last two steps
+    fused = pol.rollout(params, features, mask, record=False).actions
+    tape = pol.rollout(params, features, mask).actions
+    assert np.abs(tape).max() > 0.1   # the head scale keeps the actions nonlinear
+    assert np.all(fused[:, :, 2] == 0.0) and np.all(fused[:, -2:, 1] == 0.0)
+    assert np.linalg.norm(fused - tape) <= 1e-12 * np.linalg.norm(tape)
 
 
 def test_rollout_gradient_matches_finite_differences():
@@ -192,3 +216,5 @@ def test_rollout_validates_shapes():
         pol.rollout(params, np.zeros((2, 3, 5)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         pol.rollout(params, np.zeros((2, 3, 6)), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="recorded"):   # hooks need a tape
+        pol.rollout(params, np.zeros((2, 3, 6)), np.ones((3, 3)), capture=True, record=False)
