@@ -39,6 +39,9 @@ class GridSpec:
         entries = []
         for tau_steps in sorted(ratio_map):
             for ratio in ratio_map[tau_steps]:
+                if not ratio > 0.0:
+                    raise ValueError(f"strike ratio {ratio} at maturity {tau_steps} "
+                                     "must be positive")
                 entries.append(GridOption(int(tau_steps), float(np.log(ratio))))
         return cls(entries=tuple(entries))
 
@@ -94,6 +97,10 @@ class CostSpec:
     spot_cost: float = 1e-4
     option_cost: float = 1e-2
     l2_multiplier: float = 8.0
+
+    def __post_init__(self):
+        if not all(c >= 0.0 for c in (self.spot_cost, self.option_cost, self.l2_multiplier)):
+            raise ValueError(f"trading costs must be non-negative: {self}")
 
     def linear(self, d: int) -> np.ndarray:
         c = np.full(d, self.option_cost)

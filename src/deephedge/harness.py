@@ -76,7 +76,6 @@ class TrainingConfig:
     probe_paths: int = 64
     val_target: float | None = None
     divergence_factor: float = 10.0
-    divergence_patience: int = 50
 
     def __post_init__(self):
         if self.val_every < 1:
@@ -154,12 +153,12 @@ def _integer(v, where: str) -> int:
 
 
 def _section(cls, raw: dict, where: str, fields: dict[str, str] | None = None):
-    """``cls(**raw)`` under one type rule: a float field takes ``float(v)``,
-    an int field needs an integer and a bool field a bool, so that no value
-    is truncated or reaches the training loop as a string. ``fields`` maps a
-    key to the field it sets where the two names differ. Only the keys given
-    are passed, so each default lives in ``cls``; a key ``cls`` does not
-    know is left for it to reject."""
+    """``cls(**raw)`` under one type rule: a float field takes ``float(v)``
+    of anything but a bool, an int field needs an integer and a bool field a
+    bool, so that no value is truncated or reaches the training loop as a
+    string. ``fields`` maps a key to the field it sets where the two names
+    differ. Only the keys given are passed, so each default lives in
+    ``cls``; a key ``cls`` does not know is left for it to reject."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a mapping")
     kinds = typing.get_type_hints(cls)
@@ -172,6 +171,8 @@ def _section(cls, raw: dict, where: str, fields: dict[str, str] | None = None):
         if kind is int:
             v = _integer(v, f"{where}.{key}")
         if kind is float or (kind == float | None and v is not None):
+            if isinstance(v, bool):
+                raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
             v = float(v)
         values[field] = v
     return cls(**values)
@@ -387,9 +388,14 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     captures and one pseudo-path drawn from the batch, and the optimizer
     steps on the batch gradient.
 
+    A validation loss above ``training.divergence_factor`` times the
+    pre-training one, or a NaN, raises ``TrainingDiverged`` at once. The
+    pre-training loss is that of the seed's initial parameters, so a
+    resumed run recomputes it bit for bit.
+
     Writes ``manifest.json`` and one ``metrics.csv`` row per iteration into
     ``outdir``, then ``checkpoint.dhck`` (:mod:`deephedge.checkpoint`) with
-    the parameters, the optimizer state and the divergence guard's state.
+    the parameters and the optimizer state.
     ``resume_from`` names a checkpoint of the same config and optimizer;
     the run continues from its iteration and appends to the metrics. The
     result holds paths and counts, not a loss: the metrics hold the
@@ -409,15 +415,18 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     tcfg = cfg.training
 
     params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    try:
+        baseline = dataset_objective(params, ds_val, gamma, costs)
+    except dc.DiffError as exc:
+        # No baseline, so the first validation stops the run, if the first
+        # step's backward has not already named the op that overflowed.
+        log.warning("no pre-training validation loss: %s", exc)
+        baseline = math.nan
     if cfg.optimizer_name == "kfac":
         optimizer = op.KfacOptimizer(params, cfg.kfac)
     else:
         optimizer = op.AdamOptimizer(params, cfg.adam)
     start = 0
-    # the divergence baseline is the run's first validation loss, so a
-    # resumed run reads it, and the count of evaluations above it, back
-    initial_val = math.nan
-    divergence_run = 0
     if resume_from is not None:
         records, cfg_hash, kind, opt_version = ckpt.load_records(resume_from)
         if cfg_hash != cfg.identity_hash():
@@ -432,14 +441,13 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             params.values[name] = records[name].copy()
         optimizer.load_state_records(records)
         start = optimizer.step_count
-        initial_val = float(records["train/initial_val"][0, 0])
-        divergence_run = int(records["train/divergence_run"][0, 0])
 
     manifest = {
         "config": cfg.as_dict(),
         "identity_hash": cfg.identity_hash(),
         "datasets": {role: ds.content_hash() for role, ds in datasets.items()},
         "resumed_from_iteration": start,
+        "pretrain_val_loss": baseline,
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -465,7 +473,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         for it in range(start, tcfg.max_iterations):
             # what a failure in this iteration leaves: the state as of the
             # last iteration that wrote its metrics row
-            last_good = _train_records(params, optimizer, initial_val, divergence_run)
+            last_good = _train_records(params, optimizer)
             t0 = time.perf_counter()
             epoch, j = divmod(it, batches_per_epoch)
             if epoch != order_epoch:
@@ -487,17 +495,10 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             new_val = float("nan")
             if it % tcfg.val_every == 0:
                 new_val = dataset_objective(params, ds_val, gamma, costs)
-                if math.isnan(initial_val):
-                    initial_val = new_val
-                if new_val > tcfg.divergence_factor * initial_val:
-                    divergence_run += 1
-                    if divergence_run >= tcfg.divergence_patience:
-                        raise TrainingDiverged(
-                            f"validation loss {new_val:.4g} above "
-                            f"{tcfg.divergence_factor} x initial {initial_val:.4g} "
-                            f"for {divergence_run} consecutive evaluations")
-                else:
-                    divergence_run = 0
+                if not new_val <= tcfg.divergence_factor * baseline:
+                    raise TrainingDiverged(
+                        f"validation loss {new_val:.4g} at iteration {it} is not <= "
+                        f"{tcfg.divergence_factor} x the pre-training loss {baseline:.4g}")
                 if tcfg.val_target is not None and new_val <= tcfg.val_target:
                     reached = True
                     target_iteration = it
@@ -514,19 +515,16 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         metrics.close()
 
     iterations_run = (target_iteration + 1) if reached else tcfg.max_iterations
-    save_checkpoint(_train_records(params, optimizer, initial_val, divergence_run))
+    save_checkpoint(_train_records(params, optimizer))
     return TrainResult(checkpoint_path=str(ckpt_path), metrics_path=str(metrics_path),
                        iterations_run=iterations_run, reached_target=reached,
                        target_iteration=target_iteration)
 
 
-def _train_records(params, optimizer, initial_val: float, divergence_run: int) -> dict:
-    """Copies of everything a resume reads: parameters, optimizer state and
-    the divergence guard's baseline and streak."""
+def _train_records(params, optimizer) -> dict:
+    """Copies of everything a resume reads: parameters and optimizer state."""
     records = {name: value.copy() for name, value in params.values.items()}
     records.update((name, value.copy()) for name, value in optimizer.state_records().items())
-    records["train/initial_val"] = np.array([[initial_val]])
-    records["train/divergence_run"] = np.array([[float(divergence_run)]])
     return records
 
 
@@ -618,7 +616,10 @@ def write_evaluation(outdir, result: dict) -> tuple[str, str]:
 # plot-ready exports
 
 
-def export_pnl_histogram(per_path_csv, outdir, bins: int = 60) -> str:
+HIST_BINS = 60
+
+
+def export_pnl_histogram(per_path_csv, outdir) -> str:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "pnl_histogram.csv"
@@ -632,13 +633,13 @@ def export_pnl_histogram(per_path_csv, outdir, bins: int = 60) -> str:
     unhedged = -data[:, 1]
     lo = min(pnl.min(), pnl_delta.min(), unhedged.min())
     hi = max(pnl.max(), pnl_delta.max(), unhedged.max())
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HIST_BINS + 1)
     with open(out, "w") as fh:
         fh.write(header)
         for kind, series in (("hedged", pnl), ("delta_only", pnl_delta),
                              ("unhedged", unhedged)):
             counts, _ = np.histogram(series, bins=edges)
-            for b in range(bins):
+            for b in range(HIST_BINS):
                 fh.write(f"{kind},{edges[b]!r},{edges[b + 1]!r},{counts[b]}\n")
     return str(out)
 

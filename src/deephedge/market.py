@@ -192,14 +192,12 @@ class HestonPricer:
     # grid; smaller scales add density for short-maturity extreme
     # moneyness, larger ones add reach for near-zero total variance.
     SCALES = (2.0, 1.0, 0.5, 4.0, 8.0, 16.0)
+    N_LEG, N_LAG = 64, 128   # the primary rule's head and tail nodes
+    tol = 1e-8               # certified error per unit spot, read by callers
 
-    def __init__(self, params: HestonParams, dt: float,
-                 n_leg: int = 64, n_lag: int = 128, tol: float = 1e-8):
+    def __init__(self, params: HestonParams, dt: float):
         self.params = params
         self.dt = dt
-        self.n_leg = n_leg
-        self.n_lag = n_lag
-        self.tol = tol
 
     def unit_call(self, v, tau_steps: int, k: float) -> np.ndarray:
         """Call price on unit spot with strike exp(k); vectorized over v."""
@@ -219,9 +217,9 @@ class HestonPricer:
         pending = np.arange(v.size)
         for lam in self.SCALES:
             a = _unit_call_quadrature(v[pending], tau, k, self.params,
-                                      self.n_leg, self.n_lag, lam)
+                                      self.N_LEG, self.N_LAG, lam)
             b = _unit_call_quadrature(v[pending], tau, k, self.params,
-                                      (3 * self.n_leg) // 2, (5 * self.n_lag) // 4, 0.8 * lam)
+                                      (3 * self.N_LEG) // 2, (5 * self.N_LAG) // 4, 0.8 * lam)
             ok = np.abs(a - b) <= self.tol
             price[pending[ok]] = a[ok]
             pending = pending[~ok]
@@ -257,9 +255,10 @@ class CachedGridPricer:
     :meth:`HestonPricer.unit_call`.
     """
 
+    DEGREE = 120
     CHUNK = 4096  # variances per basis block: (K+1) x CHUNK float64, 4 MB at degree 120
 
-    def __init__(self, pricer: HestonPricer, contracts, v_max: float, degree: int = 120):
+    def __init__(self, pricer: HestonPricer, contracts, v_max: float):
         self.pricer = pricer
         self.v_max = float(v_max)
         self.contracts = tuple((int(tau), float(k)) for tau, k in contracts)
@@ -272,8 +271,9 @@ class CachedGridPricer:
             def g(y, _tau=tau_steps, _k=k):
                 v = 0.5 * self.v_max * (y + 1.0)
                 return pricer.unit_call(v, _tau, _k)
-            coef.append(np.polynomial.chebyshev.chebinterpolate(g, degree))
-        self.coef = np.array(coef, dtype=np.float64).reshape(len(self.contracts), degree + 1)
+            coef.append(np.polynomial.chebyshev.chebinterpolate(g, self.DEGREE))
+        self.coef = np.array(coef, dtype=np.float64).reshape(len(self.contracts),
+                                                              self.DEGREE + 1)
 
     def _row(self, tau_steps: int, k: float) -> int:
         # A strike rebuilt as x * e^k gives back k only to within round-off.

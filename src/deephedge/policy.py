@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from . import diffcore as dc
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    n_features: ClassVar[int] = ct.N_FEATURES
     action_dim: int
-    n_features: int = ct.N_FEATURES
     hidden: int = 32
     n_blocks: int = 4
     head_scale: float = 1e-3

@@ -69,7 +69,7 @@ def test_toy_config_builds():
     ("training.batch_size", 2.5),
     ("training.val_every", 1.5),
     ("training.divergence_factor", "ten"),
-    ("training.divergence_patience", True),
+    ("training.divergence_patience", True),   # a removed setting, so an unknown key
     ("data.n_train", 64.9),
     ("data.n_val", "32"),
     ("optimizer.kfac.n_cov", 5.0),
@@ -85,6 +85,15 @@ def test_toy_config_builds():
     ("seed", "7"),
     ("cliquet.resets", [7, 14.5, 21]),
     ("grid", {10.5: [1.0]}),
+    # a bool where a float belongs: float(True) is 1.0
+    ("optimizer.kfac.tr_init", True),
+    ("training.divergence_factor", False),
+    # a strike of zero fails later as a missing cache entry, a negative one
+    # in the pricer; a negative cost as a DiffError in KFAC's pseudo-target
+    ("grid", {10: [0.0]}),
+    ("grid", {10: [-1.0]}),
+    ("costs.spot", -1e-3),
+    ("costs.l2_multiplier", -8),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
@@ -167,6 +176,46 @@ def test_train_writes_metrics_and_a_matching_checkpoint(tmp_path, toy_datasets, 
     with np.load(result.checkpoint_path, allow_pickle=False) as archive:
         assert np.array_equal(archive["head"], records["head"])
     assert result.iterations_run == 3
+    # the divergence guard's baseline: the seed's initialization on the validation set
+    init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    assert _pretrain_val_loss(result) == harness.dataset_objective(
+        init, toy_datasets["val"], cfg.risk_aversion, cfg.costs)
+
+
+def _assert_initialization(cfg, checkpoint_path):
+    """The checkpoint holds the seed's initialization and no ``train/`` record."""
+    records, cfg_hash, kind, _ = ckpt.load_records(checkpoint_path)
+    assert (cfg_hash, kind) == (cfg.identity_hash(), cfg.optimizer_name)
+    init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    assert all(np.array_equal(records[k], v) for k, v in init.values.items())
+    assert records["opt/step"][0, 0] == 0.0
+    assert not [k for k in records if k.startswith("train/")]
+
+
+# Adam at a learning rate of 0.01 from the first step (the default ramps up
+# to 3e-3 over 100) takes the validation loss from 0.227 to 103.7 in one step.
+def test_a_first_step_blow_up_stops_at_once(tmp_path, toy_datasets):
+    raw = _with("optimizer.adam", {"lr_peak": 0.01, "warmup_iters": 1})
+    cfg = harness.build_config(raw, optimizer_override="adam")
+    with pytest.raises(harness.TrainingDiverged, match="at iteration 0 .* pre-training loss"):
+        harness.train(cfg, tmp_path, datasets=toy_datasets)
+    assert (tmp_path / "metrics.csv").read_text() == harness.METRICS_HEADER + "\n"
+    _assert_initialization(cfg, tmp_path / "checkpoint.dhck")
+
+
+def test_a_nan_validation_loss_stops_the_run(tmp_path, toy_datasets, monkeypatch):
+    objective = harness.dataset_objective
+    calls = []
+
+    def nan_at_the_second_validation(*args):
+        calls.append(args)   # the first call is the pre-training baseline
+        return float("nan") if len(calls) == 3 else objective(*args)
+
+    monkeypatch.setattr(harness, "dataset_objective", nan_at_the_second_validation)
+    cfg = harness.build_config(copy.deepcopy(TOY), optimizer_override="adam")
+    with pytest.raises(harness.TrainingDiverged, match="loss nan at iteration 2 "):
+        harness.train(cfg, tmp_path, datasets=toy_datasets)
+    assert len(_metrics_without_wall_ms(tmp_path / "metrics.csv")) == 1 + 2
 
 
 def test_resume_refuses_another_optimizer_state_version(tmp_path, toy_datasets):
@@ -182,6 +231,11 @@ def test_resume_refuses_another_optimizer_state_version(tmp_path, toy_datasets):
 def _resume_records(path):
     records, *_ = ckpt.load_records(path)
     return records
+
+
+def _pretrain_val_loss(result):
+    manifest = Path(result.checkpoint_path).with_name("manifest.json")
+    return json.loads(manifest.read_text())["pretrain_val_loss"]
 
 
 def _metrics_without_wall_ms(path):
@@ -203,7 +257,8 @@ def test_resumed_run_equals_a_straight_run(tmp_path, toy_datasets, name):
     want = _resume_records(straight.checkpoint_path)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[k], want[k]) for k in want)
-    assert want["train/initial_val"][0, 0] > 0.0
+    assert not [k for k in want if k.startswith("train/")]
+    assert _pretrain_val_loss(resumed) == _pretrain_val_loss(straight)
     assert (_metrics_without_wall_ms(resumed.metrics_path)
             == _metrics_without_wall_ms(straight.metrics_path))
     assert len(_metrics_without_wall_ms(straight.metrics_path)) == 5
@@ -222,11 +277,7 @@ def test_training_overflow_names_the_op(tmp_path, toy_datasets, name):
     with pytest.raises(dc.DiffError, match="'symexp' at tape node 36"):
         harness.train(cfg, tmp_path, datasets=toy_datasets)
     # no iteration completed: the checkpoint holds the initialization
-    records, cfg_hash, kind, _ = ckpt.load_records(tmp_path / "checkpoint.dhck")
-    assert (cfg_hash, kind) == (cfg.identity_hash(), name)
-    init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
-    assert all(np.array_equal(records[k], v) for k, v in init.values.items())
-    assert records["opt/step"][0, 0] == 0.0 and np.isnan(records["train/initial_val"][0, 0])
+    _assert_initialization(cfg, tmp_path / "checkpoint.dhck")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -325,8 +376,8 @@ def test_evaluation_files_and_exports(tmp_path, toy_evaluation):
     assert np.array_equal(np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]]),
                           result["per_path"])
 
-    hist = Path(harness.export_pnl_histogram(dump, tmp_path, bins=10)).read_text().splitlines()
-    assert hist[0] == "kind,bin_left,bin_right,count" and len(hist) == 1 + 3 * 10
+    hist = Path(harness.export_pnl_histogram(dump, tmp_path)).read_text().splitlines()
+    assert hist[0] == "kind,bin_left,bin_right,count" and len(hist) == 1 + 3 * harness.HIST_BINS
     for kind in ("hedged", "delta_only", "unhedged"):
         assert sum(int(r.split(",")[3]) for r in hist[1:] if r.startswith(kind + ",")) == 32
 
