@@ -4,10 +4,11 @@ One YAML config describes the whole experiment: market, instrument grid,
 cliquet, costs, policy, both optimizer settings, data sizes, and the
 training schedule. All randomness derives from the single root seed
 through tagged streams, so a config determines its datasets, its
-initialization, and its optimization trajectory bit for bit. A config is
-checked when it is built: an unknown key, or a value the training loop
-cannot run with, raises :class:`ConfigError` there, not an error deep
-inside training.
+initialization, and its optimization trajectory bit for bit. The keys of
+each section are the field names of its dataclass. A config is checked
+when it is built: an unknown key, or a value the training loop cannot run
+with, raises :class:`ConfigError` there, not an error deep inside
+training.
 The harness writes a manifest, metrics, a checkpoint and evaluation
 exports; simulated paths stay in memory.
 
@@ -27,7 +28,7 @@ import math
 import numbers
 import time
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,9 @@ log = logging.getLogger(__name__)
 
 METRICS_HEADER = ("iteration,train_loss,val_loss,eta,rho_tr,"
                   "grad_variance,max_precond_scale,wall_ms")
+
+# A validation loss above this many times the pre-training one stops a run.
+DIVERGENCE_FACTOR = 10.0
 
 
 class ConfigError(ValueError):
@@ -75,9 +79,10 @@ class TrainingConfig:
     probe_every: int = 100
     probe_paths: int = 64
     val_target: float | None = None
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
         if self.val_every < 1:
             raise ValueError("val_every must be at least 1")
         if self.probe_every < 0:
@@ -103,29 +108,13 @@ class ExperimentConfig:
     training: TrainingConfig
     seed: int
 
-    def as_dict(self) -> dict:
-        return {
-            "market": asdict(self.market),
-            "dt": self.dt,
-            "substeps": self.substeps,
-            "grid": [[o.tau_steps, o.log_moneyness] for o in self.grid.entries],
-            "cliquet": {"cap": self.cliquet.cap, "resets": list(self.cliquet.resets)},
-            "costs": asdict(self.costs),
-            "risk_aversion": self.risk_aversion,
-            "policy": asdict(self.policy),
-            "optimizer": {"name": self.optimizer_name,
-                          "kfac": asdict(self.kfac), "adam": asdict(self.adam)},
-            "data": asdict(self.data),
-            "training": asdict(self.training),
-            "seed": self.seed,
-        }
-
     def identity_hash(self) -> int:
-        """Hash of everything that defines the experiment's data and model.
-        The optimizer choice is excluded so paired runs share checkpoints,
-        and the iteration budget so a run can be resumed to a longer one."""
-        d = self.as_dict()
-        d.pop("optimizer")
+        """Hash of every field but the optimizer's: the choice and settings
+        are excluded so paired runs share checkpoints, and the iteration
+        budget so a run can be resumed to a longer one."""
+        d = asdict(self)
+        for key in ("optimizer_name", "kfac", "adam"):
+            d.pop(key)
         d["training"].pop("max_iterations")
         return ckpt.config_hash(d)
 
@@ -136,10 +125,16 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _known(mapping: dict, keys: str, where: str) -> dict:
-    """``mapping`` itself, once each of its keys is one of the space-separated
-    ``keys``: a misspelled key would otherwise fall back to its default."""
-    unknown = [key for key in mapping if key not in keys.split()]
+def _mapping(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    return v
+
+
+def _known(mapping: dict, keys: list[str], where: str) -> dict:
+    """``mapping`` itself, once it is a mapping and each of its keys is one
+    of ``keys``: a misspelled key would otherwise fall back to its default."""
+    unknown = [key for key in _mapping(mapping, where) if key not in keys]
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
     return mapping
@@ -152,29 +147,30 @@ def _integer(v, where: str) -> int:
     return int(v)
 
 
-def _section(cls, raw: dict, where: str, fields: dict[str, str] | None = None):
-    """``cls(**raw)`` under one type rule: a float field takes ``float(v)``
-    of anything but a bool, an int field needs an integer and a bool field a
-    bool, so that no value is truncated or reaches the training loop as a
-    string. ``fields`` maps a key to the field it sets where the two names
-    differ. Only the keys given are passed, so each default lives in
-    ``cls``; a key ``cls`` does not know is left for it to reject."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
+def _section(cls, raw: dict, where: str, **fixed):
+    """``cls(**raw, **fixed)``, where the keys of ``raw`` are field names of
+    the dataclass ``cls`` other than the ``fixed`` ones, under one type
+    rule: a float field takes ``float(v)`` of anything but a bool, an int
+    field needs an integer, a ``tuple[int, ...]`` field a list of them and a
+    bool field a bool, so that no value is truncated or reaches the training
+    loop as a string. Only the keys given are passed, so each default lives
+    in ``cls``."""
+    _known(raw, [f.name for f in fields(cls) if f.name not in fixed], where)
     kinds = typing.get_type_hints(cls)
-    values = {}
+    values = dict(fixed)
     for key, v in raw.items():
-        field = (fields or {}).get(key, key)
-        kind = kinds.get(field)
+        kind = kinds[key]
         if kind is bool and not isinstance(v, bool):
             raise ConfigError(f"{where}.{key} must be true or false, got {v!r}")
         if kind is int:
             v = _integer(v, f"{where}.{key}")
+        if kind == tuple[int, ...]:
+            v = tuple(_integer(x, f"{where}.{key} entry") for x in v)
         if kind is float or (kind == float | None and v is not None):
             if isinstance(v, bool):
                 raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
             v = float(v)
-        values[field] = v
+        values[key] = v
     return cls(**values)
 
 
@@ -193,29 +189,22 @@ def load_config(path, optimizer_override: str | None = None) -> ExperimentConfig
 
 def build_config(raw: dict, optimizer_override: str | None = None) -> ExperimentConfig:
     try:
-        _known(raw, "market grid cliquet costs objective policy optimizer data training seed",
-               "config")
-        m = dict(_known(_require(raw, "market", "config"),
-                        "x0 v0 kappa theta xi rho dt substeps", "market"))
+        _known(raw, "market grid cliquet costs objective policy optimizer data training seed"
+               .split(), "config")
+        m = dict(_mapping(_require(raw, "market", "config"), "market"))
         dt = float(m.pop("dt", 1.0 / 250.0))
         substeps = _integer(m.pop("substeps", 2), "market.substeps")
         market = _section(mk.HestonParams, m, "market")
         grid_map = {_integer(k, "grid maturity"): [float(x) for x in v]
-                    for k, v in _require(raw, "grid", "config").items()}
+                    for k, v in _mapping(_require(raw, "grid", "config"), "grid").items()}
         grid = ct.GridSpec.from_ratio_map(grid_map)
-        cl = _known(_require(raw, "cliquet", "config"), "cap resets", "cliquet")
-        cliquet = ct.CliquetSpec(cap=float(cl["cap"]),
-                                 resets=tuple(_integer(r, "cliquet.resets entry")
-                                              for r in cl["resets"]))
-        co = _known(raw.get("costs", {}), "spot option l2_multiplier", "costs")
-        costs = _section(ct.CostSpec, co, "costs",
-                         {"spot": "spot_cost", "option": "option_cost"})
-        ob = _known(raw.get("objective", {}), "risk_aversion", "objective")
+        cliquet = _section(ct.CliquetSpec, _require(raw, "cliquet", "config"), "cliquet")
+        costs = _section(ct.CostSpec, raw.get("costs", {}), "costs")
+        ob = _known(raw.get("objective", {}), ["risk_aversion"], "objective")
         gamma = float(ob.get("risk_aversion", 1000.0))
-        p = _known(raw.get("policy", {}), "hidden blocks head_scale", "policy")
-        policy_cfg = _section(pol.PolicyConfig, {**p, "action_dim": grid.d}, "policy",
-                              {"blocks": "n_blocks"})
-        o = _known(raw.get("optimizer", {}), "name kfac adam", "optimizer")
+        policy_cfg = _section(pol.PolicyConfig, raw.get("policy", {}), "policy",
+                              action_dim=grid.d)
+        o = _known(raw.get("optimizer", {}), ["name", "kfac", "adam"], "optimizer")
         name = optimizer_override or o.get("name", "kfac")
         if name not in ("kfac", "adam"):
             raise ConfigError(f"unknown optimizer '{name}'")
@@ -224,7 +213,7 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         dcfg = _section(DataConfig, raw.get("data", {}), "data")
         tcfg = _section(TrainingConfig, raw.get("training", {}), "training")
         seed = _integer(_require(raw, "seed", "config"), "seed")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -388,7 +377,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     captures and one pseudo-path drawn from the batch, and the optimizer
     steps on the batch gradient.
 
-    A validation loss above ``training.divergence_factor`` times the
+    A validation loss above ``DIVERGENCE_FACTOR`` times the
     pre-training one, or a NaN, raises ``TrainingDiverged`` at once. The
     pre-training loss is that of the seed's initial parameters, so a
     resumed run recomputes it bit for bit.
@@ -443,7 +432,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         start = optimizer.step_count
 
     manifest = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "identity_hash": cfg.identity_hash(),
         "datasets": {role: ds.content_hash() for role, ds in datasets.items()},
         "resumed_from_iteration": start,
@@ -495,10 +484,10 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             new_val = float("nan")
             if it % tcfg.val_every == 0:
                 new_val = dataset_objective(params, ds_val, gamma, costs)
-                if not new_val <= tcfg.divergence_factor * baseline:
+                if not new_val <= DIVERGENCE_FACTOR * baseline:
                     raise TrainingDiverged(
                         f"validation loss {new_val:.4g} at iteration {it} is not <= "
-                        f"{tcfg.divergence_factor} x the pre-training loss {baseline:.4g}")
+                        f"{DIVERGENCE_FACTOR} x the pre-training loss {baseline:.4g}")
                 if tcfg.val_target is not None and new_val <= tcfg.val_target:
                     reached = True
                     target_iteration = it

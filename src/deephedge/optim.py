@@ -76,14 +76,15 @@ class AdamConfig:
     lr_peak: float = 3e-3
     warmup_iters: int = 100       # linear ramp over roughly one epoch
     lr_decay: float = 0.9985      # per-step exponential decay after warmup
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if not self.lr_peak > 0.0:
-            raise ValueError("lr_peak must be positive")
+        if not (self.lr_peak > 0.0 and self.clip_norm > 0.0):
+            raise ValueError("lr_peak and clip_norm must be positive")
+        if not 0.0 < self.lr_decay <= 1.0:
+            raise ValueError("lr_decay must lie in (0, 1]")
+        if self.warmup_iters < 0:
+            raise ValueError("warmup_iters must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,8 @@ class KfacOptimizer:
 class AdamOptimizer:
     """Adam with a global gradient-norm clip and warmup/decay schedule."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: pol.PolicyParams, config: AdamConfig):
         self.config = config
         self.step_count = 0
@@ -330,16 +333,16 @@ class AdamOptimizer:
         lr = self.learning_rate()
         self.step_count += 1
         t = self.step_count
-        corr1 = 1.0 - c.beta1 ** t
-        corr2 = 1.0 - c.beta2 ** t
+        corr1 = 1.0 - self.BETA1 ** t
+        corr2 = 1.0 - self.BETA2 ** t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            step = (m / corr1) / (np.sqrt(v / corr2) + c.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            step = (m / corr1) / (np.sqrt(v / corr2) + self.EPS)
             params.values[name] -= lr * step
         return lr
 

@@ -4,7 +4,9 @@
 are gone, so a rename would silently drop a traced layer; only the slow
 smoke test of the benchmark would notice. A call that goes round its
 wrapped name is just as silent, so a traced toy run checks that each layer
-records time. This reads ``perfbench/`` and changes nothing there.
+records time, and a config key the package no longer reads would stop
+every workload, so each config ``perfbench/worker.py`` sends is built. This
+reads ``perfbench/`` and changes nothing there.
 """
 
 import sys
@@ -24,6 +26,14 @@ def tracing(monkeypatch):
     import tracing
     yield tracing
     sys.modules.pop("tracing", None)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import worker
+    yield worker
+    sys.modules.pop("worker", None)
 
 
 def test_every_traced_target_resolves(tracing):
@@ -49,6 +59,14 @@ def test_names_the_benchmark_uses_resolve():
     v = np.array([0.0, 0.1, 0.5])
     fast = cached.unit_call(v, 10, 0.0)
     assert np.abs(fast - cached.pricer.unit_call(v, 10, 0.0)).max() < cached.pricer.tol
+
+
+def test_every_benchmark_config_builds(worker):
+    for workload in worker.WORKLOADS:
+        for scale in worker.SCALES:
+            cfg = harness.build_config(worker.raw_config(workload, 7, scale))
+            if workload.startswith("desk_"):
+                assert cfg.optimizer_name == workload.removeprefix("desk_")
 
 
 # Two toy iterations with a validation each and the probe at the first.

@@ -57,18 +57,19 @@ def test_toy_config_builds():
     ("optimizer.adam.lr_peak", -1.0),
     ("data.n_val", 1),
     ("data.n_test", 1),
-    # misspelled keys: ignored, each would leave its default in place
+    # misspelled keys: ignored, each would leave its default in place (keys
+    # are field names, so costs.spot and policy.blocks are refused too)
     ("trainng.max_iterations", 5),
     ("market.kapa", 2.0),
-    ("costs.spot_cost", 1e-3),
-    ("policy.n_blocks", 2),
+    ("costs.spot", -1e-3),
+    ("policy.blocks", 2.0),
     ("objective.risk_aversoin", 10.0),
     ("cliquet.reset", [7]),
     ("optimizer.kfca", {}),
     # values of the wrong type: truncated, or passed on to fail inside train
     ("training.batch_size", 2.5),
     ("training.val_every", 1.5),
-    ("training.divergence_factor", "ten"),
+    ("training.divergence_factor", "ten"),    # now a constant, so an unknown key
     ("training.divergence_patience", True),   # a removed setting, so an unknown key
     ("data.n_train", 64.9),
     ("data.n_val", "32"),
@@ -76,24 +77,32 @@ def test_toy_config_builds():
     ("optimizer.kfac.identity_basis", "yes"),
     ("optimizer.adam.warmup_iters", None),
     ("optimizer.kfac", [0.9]),
-    # integer fields read outside the sections: truncated by int(...)
+    # integer fields: truncated by int(...)
     ("market.substeps", 2.7),
     ("policy.hidden", 32.9),
-    ("policy.blocks", 2.0),
-    ("policy.blocks", True),
+    ("policy.n_blocks", 2.0),
+    ("policy.n_blocks", True),
     ("seed", 7.9),
     ("seed", "7"),
     ("cliquet.resets", [7, 14.5, 21]),
     ("grid", {10.5: [1.0]}),
     # a bool where a float belongs: float(True) is 1.0
     ("optimizer.kfac.tr_init", True),
-    ("training.divergence_factor", False),
+    ("training.divergence_factor", False),    # now a constant, so an unknown key
     # a strike of zero fails later as a missing cache entry, a negative one
     # in the pricer; a negative cost as a DiffError in KFAC's pseudo-target
     ("grid", {10: [0.0]}),
     ("grid", {10: [-1.0]}),
-    ("costs.spot", -1e-3),
+    ("costs.spot_cost", -1e-3),
     ("costs.l2_multiplier", -8),
+    # Adam and training settings that built and then broke the run: a
+    # negative clip norm trained uphill, a negative budget ran -5 iterations
+    ("optimizer.adam.clip_norm", -1.0),
+    ("optimizer.adam.clip_norm", 0.0),
+    ("optimizer.adam.warmup_iters", -1),
+    ("optimizer.adam.lr_decay", 0.0),
+    ("optimizer.adam.lr_decay", 1.5),
+    ("training.max_iterations", -5),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
@@ -103,7 +112,7 @@ def test_bad_value_raises_config_error(path, value):
 @pytest.mark.parametrize("path,value,key", [
     ("market.substeps", 2.7, "market.substeps"),
     ("policy.hidden", 32.9, "policy.hidden"),
-    ("policy.blocks", 2.0, "policy.blocks"),
+    ("policy.n_blocks", 2.0, "policy.n_blocks"),
     ("seed", 7.9, "seed"),
     ("cliquet.resets", [7, 14.5, 21], "cliquet.resets"),
     ("grid", {10.5: [1.0]}, "grid"),
@@ -113,12 +122,62 @@ def test_fractional_integer_field_names_its_key(path, value, key):
         harness.build_config(_with(path, value))
 
 
+@pytest.mark.parametrize("path,value,match", [
+    # a section that is not a mapping: grid used to raise AttributeError and
+    # market: [] used to build
+    ("grid", [1.0], "^grid must be a mapping"),
+    ("grid", None, "^grid must be a mapping"),
+    ("market", [], "^market must be a mapping"),
+    ("objective", [], "^objective must be a mapping"),
+    ("optimizer.kfac.n_covv", 5, "^unknown key 'n_covv' in optimizer.kfac$"),
+    ("optimizer.adam.beta1", 0.9, "^unknown key 'beta1' in optimizer.adam$"),
+    ("data.n_tset", 32, "^unknown key 'n_tset' in data$"),
+    ("training.max_iteratoins", 5, "^unknown key 'max_iteratoins' in training$"),
+    ("policy.action_dim", 3, "^unknown key 'action_dim' in policy$"),
+])
+def test_bad_section_names_it(path, value, match):
+    with pytest.raises(harness.ConfigError, match=match):
+        harness.build_config(_with(path, value))
+
+
+@pytest.mark.parametrize("key", ["market", "grid", "cliquet", "seed"])
+def test_missing_section_is_named(key):
+    raw = copy.deepcopy(TOY)
+    del raw[key]
+    with pytest.raises(harness.ConfigError, match=f"^missing '{key}' in config$"):
+        harness.build_config(raw)
+
+
+# One leaf of each section the hash covers, then what it leaves out so that
+# paired runs share checkpoints and a run resumes to a longer budget.
+@pytest.mark.parametrize("path,value,hashed", [
+    ("market.kappa", 4.0, True),
+    ("market.dt", 1.0 / 252.0, True),
+    ("market.substeps", 3, True),
+    ("grid", {10: [1.01]}, True),
+    ("cliquet.cap", 0.02, True),
+    ("costs.option_cost", 0.02, True),
+    ("objective.risk_aversion", 10.0, True),
+    ("policy.hidden", 8, True),
+    ("data.n_test", 16, True),
+    ("training.val_every", 3, True),
+    ("seed", 8, True),
+    ("optimizer.name", "adam", False),
+    ("optimizer.kfac.tr_init", 1e-6, False),
+    ("optimizer.adam.lr_peak", 1e-2, False),
+    ("training.max_iterations", 50, False),
+])
+def test_identity_hash_covers_all_but_the_optimizer_and_budget(path, value, hashed):
+    base = harness.build_config(copy.deepcopy(TOY)).identity_hash()
+    assert (harness.build_config(_with(path, value)).identity_hash() != base) == hashed
+
+
 def test_float_fields_take_numeric_strings():
     # PyYAML reads 1e-3 (no dot) as the string '1e-3'
     raw = _with("optimizer.kfac.tr_init", "1e-3")
-    raw["training"]["divergence_factor"] = "10"
+    raw["costs"] = {"l2_multiplier": "8"}
     cfg = harness.build_config(raw)
-    assert cfg.kfac.tr_init == 1e-3 and cfg.training.divergence_factor == 10.0
+    assert cfg.kfac.tr_init == 1e-3 and cfg.costs.l2_multiplier == 8.0
     assert cfg.training.val_target is None
 
 
