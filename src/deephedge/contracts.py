@@ -242,12 +242,31 @@ def objective_value(actions: np.ndarray, returns: np.ndarray, payoff: np.ndarray
     return float(gamma * pnl.var(ddof=1) + cost.mean())
 
 
+def objective_gradient(actions: np.ndarray, returns: np.ndarray, payoff: np.ndarray,
+                       gamma: float, costs: CostSpec) -> np.ndarray:
+    """dL/du of :func:`objective_value`, in closed form; shape (n, T, d).
+
+    The variance term gives 2 gamma (pnl_i - mean pnl) / (n - 1) times the
+    path's returns, the cost term sign(u) c / n.
+    """
+    n, _, d = actions.shape
+    if n < 2:
+        raise ValueError("objective needs a batch of at least 2 paths")
+    c_lin = costs.linear(d)
+    pnl, _ = hedged_pnl(actions, returns, payoff, c_lin)
+    centered = pnl - pnl.mean()
+    du = returns * (2.0 * gamma / (n - 1) * centered)[:, None, None]
+    du += np.sign(actions) * (c_lin / n)
+    return du
+
+
 def batch_objective(action_nodes, returns: np.ndarray, payoff: np.ndarray,
                     gamma: float, costs: CostSpec) -> dc.Node:
-    """The same loss built from tape primitives, differentiable end to end.
+    """The same loss built from tape primitives, differentiable end to end:
+    the reference :func:`objective_gradient` is checked against.
 
-    ``action_nodes`` is the per-step list of (batch, d) nodes produced by
-    a policy rollout; returns and payoff are constants of the episode.
+    ``action_nodes`` is the per-step list of (batch, d) nodes of a policy
+    unroll on the tape; returns and payoff are constants of the episode.
     """
     tape = action_nodes[0].tape
     n, d = action_nodes[0].value.shape

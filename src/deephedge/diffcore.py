@@ -1,7 +1,13 @@
 """Reverse-mode differentiation over dense float64 matrices.
 
+Training does not use this engine: the policy's own reverse sweep
+(:func:`deephedge.policy.reverse_sweep`) differentiates both of its
+graphs. The tape stays as the reference the tests check that sweep
+against, and its op names are the layers the benchmark's tracer wraps.
+:class:`DiffError` and ``RMS_EPS`` are shared with the policy.
+
 The engine is deliberately small: a define-by-run tape of primitive
-operations on 2-D arrays, rebuilt for every recorded rollout, with exact
+operations on 2-D arrays, rebuilt for every recorded unroll, with exact
 reverse traversal. Rows carry the batch dimension, columns carry features.
 
 Affine layers are represented by a single bias-augmented weight matrix

@@ -147,6 +147,13 @@ def _integer(v, where: str) -> int:
     return int(v)
 
 
+def _real(v, where: str) -> float:
+    """``float(v)`` of anything but a bool: ``float(True)`` is 1.0."""
+    if isinstance(v, bool):
+        raise ConfigError(f"{where} must be a number, got {v!r}")
+    return float(v)
+
+
 def _section(cls, raw: dict, where: str, **fixed):
     """``cls(**raw, **fixed)``, where the keys of ``raw`` are field names of
     the dataclass ``cls`` other than the ``fixed`` ones, under one type
@@ -167,9 +174,7 @@ def _section(cls, raw: dict, where: str, **fixed):
         if kind == tuple[int, ...]:
             v = tuple(_integer(x, f"{where}.{key} entry") for x in v)
         if kind is float or (kind == float | None and v is not None):
-            if isinstance(v, bool):
-                raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-            v = float(v)
+            v = _real(v, f"{where}.{key}")
         values[key] = v
     return cls(**values)
 
@@ -192,16 +197,16 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         _known(raw, "market grid cliquet costs objective policy optimizer data training seed"
                .split(), "config")
         m = dict(_mapping(_require(raw, "market", "config"), "market"))
-        dt = float(m.pop("dt", 1.0 / 250.0))
+        dt = _real(m.pop("dt", 1.0 / 250.0), "market.dt")
         substeps = _integer(m.pop("substeps", 2), "market.substeps")
         market = _section(mk.HestonParams, m, "market")
-        grid_map = {_integer(k, "grid maturity"): [float(x) for x in v]
+        grid_map = {_integer(k, "grid maturity"): [_real(x, "grid strike ratio") for x in v]
                     for k, v in _mapping(_require(raw, "grid", "config"), "grid").items()}
         grid = ct.GridSpec.from_ratio_map(grid_map)
         cliquet = _section(ct.CliquetSpec, _require(raw, "cliquet", "config"), "cliquet")
         costs = _section(ct.CostSpec, raw.get("costs", {}), "costs")
         ob = _known(raw.get("objective", {}), ["risk_aversion"], "objective")
-        gamma = float(ob.get("risk_aversion", 1000.0))
+        gamma = _real(ob.get("risk_aversion", 1000.0), "objective.risk_aversion")
         policy_cfg = _section(pol.PolicyConfig, raw.get("policy", {}), "policy",
                               action_dim=grid.d)
         o = _known(raw.get("optimizer", {}), ["name", "kfac", "adam"], "optimizer")
@@ -311,20 +316,19 @@ def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
 
     The probe batch is the first ``n_probe`` paths of the dataset. Each
     path's contribution to the batch gradient, scaled by the batch size,
-    estimates a single-sample gradient; hook channels reconstruct the
-    per-path weight gradients, so the metric covers the Kronecker-block
-    parameters (weight matrices).
+    estimates a single-sample gradient; the per-step layer inputs and
+    pre-activation gradients reconstruct the per-path weight gradients, so
+    the metric covers the Kronecker-block parameters (weight matrices).
     """
     n = min(n_probe, ds.n_paths)
-    res = pol.rollout(params, ds.features[:n], ds.mask, capture=True)
-    loss = ct.batch_objective(res.action_nodes, ds.returns[:n], ds.payoff[:n],
-                              gamma, costs)
-    dc.backward(loss, hooks=res.channels.values())
+    res = pol.rollout(params, ds.features[:n], ds.mask)
+    du = ct.objective_gradient(res.actions, ds.returns[:n], ds.payoff[:n], gamma, costs)
+    _, step_grads = pol.reverse_sweep(res, du, capture=True)
     sq_sum = 0.0
     mean_sq = 0.0
-    for channel in res.channels.values():
-        a_stack = np.stack(channel.activations)   # (T, n, in+1)
-        g_stack = np.stack(channel.grads)         # (T, n, out)
+    for name, activations in res.activations.items():
+        a_stack = np.stack(activations)           # (T, n, in+1)
+        g_stack = np.stack(step_grads[name])      # (T, n, out)
         per_path = np.einsum("tpo,tpi->poi", g_stack, a_stack) * n
         sq_sum += float((per_path ** 2).sum())
         mean_grad = per_path.mean(axis=0)
@@ -349,19 +353,18 @@ def _train_iteration(cfg, params, optimizer, ds_train, idx, iteration):
     """One step of either optimizer on the batch ``idx``; returns the batch
     loss and the step size (KFAC's eta, Adam's learning rate)."""
     gamma, costs = cfg.risk_aversion, cfg.costs
-    kfac = isinstance(optimizer, op.KfacOptimizer)
-    res = pol.rollout(params, ds_train.features[idx], ds_train.mask,
-                      capture=kfac and optimizer.wants_input_stats)
-    loss_node = ct.batch_objective(res.action_nodes, ds_train.returns[idx],
-                                   ds_train.payoff[idx], gamma, costs)
-    loss = float(loss_node.value[0, 0])
-    # Differentiate first: backward is where a non-finite batch raises, so
-    # the curvature update never sees its captures.
-    grads = dc.backward(loss_node)
-    if kfac:
+    returns, payoff = ds_train.returns[idx], ds_train.payoff[idx]
+    # The forward pass raises on a non-finite action and the sweep on a
+    # non-finite gradient, so the curvature update never sees a failed batch.
+    res = pol.rollout(params, ds_train.features[idx], ds_train.mask)
+    loss = ct.objective_value(res.actions, returns, payoff, gamma, costs)
+    grads, _ = pol.reverse_sweep(
+        res, ct.objective_gradient(res.actions, returns, payoff, gamma, costs))
+    if isinstance(optimizer, op.KfacOptimizer):
         row = idx[rs.stream(cfg.seed, rs.PSEUDO_PATH, iteration).integers(idx.size)]
         optimizer.update_curvature(
-            params, res.channels, ds_train.features[row:row + 1], ds_train.mask,
+            params, res.activations if optimizer.wants_input_stats else {},
+            ds_train.features[row:row + 1], ds_train.mask,
             ct.inner_hessian(ds_train.returns[row], gamma, costs),
             rs.stream(cfg.seed, rs.PSEUDO_NOISE, iteration))
     return loss, optimizer.apply_step(params, grads)
@@ -372,10 +375,10 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     """Run the configured optimizer for ``training.max_iterations``
     iterations, or until a validation loss reaches ``training.val_target``.
 
-    Every iteration, for either optimizer, is one batch rollout, objective
-    and backward; KFAC then updates its curvature model from the batch's
-    captures and one pseudo-path drawn from the batch, and the optimizer
-    steps on the batch gradient.
+    Every iteration, for either optimizer, is one recorded batch rollout,
+    its objective and one reverse sweep; KFAC then updates its curvature
+    model from the batch's layer inputs and one pseudo-path drawn from the
+    batch, and the optimizer steps on the batch gradient.
 
     A validation loss above ``DIVERGENCE_FACTOR`` times the
     pre-training one, or a NaN, raises ``TrainingDiverged`` at once. The
@@ -408,7 +411,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         baseline = dataset_objective(params, ds_val, gamma, costs)
     except dc.DiffError as exc:
         # No baseline, so the first validation stops the run, if the first
-        # step's backward has not already named the op that overflowed.
+        # step's forward pass has not already named the step that overflowed.
         log.warning("no pre-training validation loss: %s", exc)
         baseline = math.nan
     if cfg.optimizer_name == "kfac":

@@ -5,15 +5,15 @@ curvature model. Each weight matrix is one Kronecker block: an input
 second-moment factor A estimated from batch activations, a pre-activation
 factor G estimated from single-path pseudo-gradients, eigenbases of both,
 and a dense matrix D of second moments re-estimated directly in that
-eigenbasis. The pseudo-gradient is the backward pass of <s, u> where s
-is drawn with covariance equal to the action-space curvature of the
-pathwise surrogate loss, so the parameter-space covariance of the
-pseudo-gradient is exactly the generalized Gauss-Newton matrix the
-scheme approximates.
+eigenbasis. The pseudo-gradient is the policy's reverse sweep seeded
+with s, the gradient of <s, u>, where s is drawn with covariance equal
+to the action-space curvature of the pathwise surrogate loss, so the
+parameter-space covariance of the pseudo-gradient is exactly the
+generalized Gauss-Newton matrix the scheme approximates.
 
 Both optimizers step on the batch gradient through ``apply_step``. Before
 that, ``KfacOptimizer.update_curvature`` does one iteration's curvature
-work in order: input factors from the batch's hook captures, one
+work in order: input factors from the batch's layer inputs, one
 pseudo-backward, output factors and D, and the eigenbases on their cadence.
 
 Damping shrinks each block's eigen-spectrum linearly toward its own mean
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contracts as ct
-from . import diffcore as dc
 from . import policy as pol
 
 
@@ -148,24 +147,19 @@ def pseudo_backward(params: pol.PolicyParams, features: np.ndarray, mask: np.nda
                     ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
     """Backpropagate <s, u> along one path.
 
-    Unrolls the policy over ``features`` (1, T, f) with capture, so u is
-    the path's (T, d) actions. The target s is drawn so that its covariance
-    equals the action-space curvature ``hessian``, making the covariance of
-    the parameter gradients the Gauss-Newton matrix. Returns those
-    gradients and, per Kronecker block, the per-step pre-activation
-    gradients its hook channel recorded.
+    Unrolls the policy over ``features`` (1, T, f), so u is the path's
+    (T, d) actions, and sweeps back with the seed s. The target s is drawn
+    so that its covariance equals the action-space curvature ``hessian``,
+    making the covariance of the parameter gradients the Gauss-Newton
+    matrix. Returns those gradients and, per Kronecker block, the per-step
+    pre-activation gradients.
     """
-    result = pol.rollout(params, features, mask, capture=True)
-    n_steps = len(result.action_nodes)
-    d = result.action_nodes[0].value.shape[1]
+    result = pol.rollout(params, features, mask)
+    _, n_steps, d = result.actions.shape
     if hessian.r_vec.size != n_steps * d:
         raise ValueError("inner Hessian size does not match the unrolled actions")
-    # <s, u> is the gains column of the fused hedging aggregate with the
-    # targets as returns and zero costs.
     s = ct.sample_pseudo_target(hessian, rng).reshape(1, n_steps, d)
-    sums = dc.hedge_accumulate(result.action_nodes, s, np.zeros(d))
-    grads = dc.backward(dc.total(dc.slice_cols(sums, 0, 1)), hooks=result.channels.values())
-    return grads, {name: chan.grads for name, chan in result.channels.items()}
+    return pol.reverse_sweep(result, s, capture=True)
 
 
 class KfacOptimizer:
@@ -192,33 +186,31 @@ class KfacOptimizer:
 
     # -- statistics updates ---------------------------------------------------
 
-    def update_curvature(self, params: pol.PolicyParams, channels: dict[str, dc.HookChannel],
-                         features: np.ndarray, mask: np.ndarray, hessian: ct.InnerHessian,
+    def update_curvature(self, params: pol.PolicyParams,
+                         activations: dict[str, list[np.ndarray]], features: np.ndarray,
+                         mask: np.ndarray, hessian: ct.InnerHessian,
                          rng: np.random.Generator) -> None:
-        """One iteration's curvature work, after the batch backward has
-        checked the batch: the input factors when ``channels`` holds the
-        batch's captures, then one pseudo-backward along ``features``
+        """One iteration's curvature work, after the batch's sweep has
+        checked the batch: the input factors when ``activations`` holds the
+        batch's layer inputs, then one pseudo-backward along ``features``
         (1, T, f) with curvature ``hessian`` and noise ``rng``, the output
         factors and D from it, and the eigenbases on their cadence."""
-        if channels:
-            self.update_input_stats(channels)
+        if activations:
+            self.update_input_stats(activations)
         grads, step_grads = pseudo_backward(params, features, mask, hessian, rng)
         self.update_output_stats(grads, step_grads)
         if self.wants_eigenbasis:
             self.update_eigenbasis()
 
-    def update_input_stats(self, channels: dict[str, dc.HookChannel]) -> None:
-        """EMA of the activation second moment, scaled by sqrt(T) overall;
-        the batch size is the row count of the captures."""
+    def update_input_stats(self, activations: dict[str, list[np.ndarray]]) -> None:
+        """EMA of the activation second moment, scaled by sqrt(T) overall,
+        from each block's per-step (batch, in + 1) inputs."""
         beta = self.config.beta_factor
         for name, block in self.blocks.items():
             if block.a_cov is None:
                 continue
-            chan = channels[name]
-            stacked = np.concatenate(chan.activations, axis=0)
-            n_steps = len(chan.activations)
-            batch_size = chan.activations[0].shape[0]
-            contrib = stacked.T @ stacked / (batch_size * np.sqrt(n_steps))
+            steps = activations[name]
+            contrib = sum(a.T @ a for a in steps) / (steps[0].shape[0] * np.sqrt(len(steps)))
             block.a_cov *= beta
             block.a_cov += (1.0 - beta) * contrib
 

@@ -10,15 +10,25 @@ unroll.
 
 Every affine layer is one bias-augmented weight matrix and forms one
 Kronecker curvature block; an LSTM cell's stacked gate matrix is a
-single block with one hook channel on the concatenated pre-activations.
+single block, whose outputs are the four gates' pre-activations.
 RMSNorm gains are the only parameters with no Kronecker factors; their
 curvature blocks keep identity eigenbases, a damped diagonal method.
+
+One forward pass, :func:`rollout`, serves every caller. Evaluation and
+validation run it forward-only; training records time-major caches, and
+:func:`reverse_sweep` backpropagates an action seed through them by hand.
+The system differentiates two graphs, both this unroll: the batch
+objective (seed dL/du) and <s, u> (seed s). Each weight gradient is the
+sum over steps of pre-activation gradients times layer inputs, the
+identity the Kronecker factors rest on. The generic tape of
+:mod:`deephedge.diffcore` is the reference the tests check the sweep
+against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -81,63 +91,94 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> PolicyParams:
     return PolicyParams(config=config, values=values)
 
 
+ROW_BLOCK = 512  # paths per block: its (4H, 512) gates fit a core's L2 at H = 32
+COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in another order
+
+
 @dataclass
-class PolicyState:
-    hc: list[dc.Node]  # per block, stacked [h | c] of shape (batch, 2 * hidden)
-    u_prev: dc.Node
+class _Caches:
+    """One row block's buffers, time-major and feature-major: (slot, ...,
+    features, columns). A recorded unroll keeps step t in slot t and the
+    recurrent values it hands to step t + 1 (the action, each cell's h
+    and c) in slot t + 1, so slot T only receives the last step's. A
+    forward-only unroll has one time slot, overwritten every step, and
+    its blocks share one block slot for r, the gates, tanh(c) and the
+    residual stream after each block, so its buffers stay in cache."""
 
+    rows: int
+    x_in: np.ndarray    # (S, f + d + 1, cols): [features; u_prev; 1], the embedding's input
+    res: np.ndarray     # (S, B + 1, H + 1, cols): [residual stream; 1] into each block and the head
+    r: np.ndarray       # (S, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
+    aug: np.ndarray     # (S, B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input
+    gates: np.ndarray   # (S, B, 4H, cols): sigmoid(i, f, o), then tanh(g)
+    c: np.ndarray       # (S, B, H, cols): each cell's state before the step
+    tanh_c: np.ndarray  # (S, B, H, cols): tanh of the state after it
+    e: np.ndarray       # (S, d, cols): exp(|head output|), the derivative of symexp
 
-def _zero_state(tape: dc.Tape, config: PolicyConfig, batch: int) -> PolicyState:
-    zeros_hc = np.zeros((batch, 2 * config.hidden))
-    return PolicyState(
-        hc=[tape.constant(zeros_hc) for _ in range(config.n_blocks)],
-        u_prev=tape.constant(np.zeros((batch, config.action_dim))),
-    )
+    @classmethod
+    def allocate(cls, config: PolicyConfig, n_steps: int, rows: int,
+                 record: bool) -> "_Caches":
+        h_dim, d, n_blocks = config.hidden, config.action_dim, config.n_blocks
+        cols = -(-rows // COLUMN_GROUP) * COLUMN_GROUP
+        slots, blocks = (n_steps + 1, n_blocks) if record else (1, 1)
+        caches = cls(rows=rows,
+                     x_in=np.zeros((slots, config.n_features + d + 1, cols)),
+                     res=np.zeros((slots, blocks + 1, h_dim + 1, cols)),
+                     r=np.empty((slots, blocks, cols)),
+                     aug=np.zeros((slots, n_blocks, 2 * h_dim + 1, cols)),
+                     gates=np.empty((slots, blocks, 4 * h_dim, cols)),
+                     c=np.zeros((slots, n_blocks, h_dim, cols)),
+                     tanh_c=np.empty((slots, blocks, h_dim, cols)),
+                     e=np.empty((slots, d, cols)))
+        for ones in (caches.x_in, caches.res, caches.aug):
+            ones[..., -1, :] = 1.0
+        return caches
 
-
-def forward_step(params_nodes: dict[str, dc.Node], config: PolicyConfig,
-                 state: PolicyState, features: dc.Node, mask_row: dc.Node,
-                 channels: dict[str, dc.HookChannel] | None = None) -> tuple[dc.Node, PolicyState]:
-    """One policy step; returns the masked action and the updated state."""
-    h_dim = config.hidden
-    ch = channels or {}
-    x = dc.affine(dc.concat([features, state.u_prev]), params_nodes["embed"],
-                  channel=ch.get("embed"))
-    new_hc = []
-    for b in range(config.n_blocks):
-        normed = dc.rms_normalize(x, params_nodes[f"block{b}.gain"])
-        hc = dc.lstm_cell(normed, state.hc[b], params_nodes[f"block{b}.lstm"],
-                          channel=ch.get(f"block{b}.lstm"))
-        x = dc.add(x, dc.slice_cols(hc, 0, h_dim))  # residual: input plus cell output
-        new_hc.append(hc)
-    head = dc.affine(x, params_nodes["head"], channel=ch.get("head"))
-    u = dc.multiply(dc.symexp(head), mask_row)
-    return u, PolicyState(hc=new_hc, u_prev=u)
+    def layer_inputs(self) -> dict[str, np.ndarray]:
+        """Each Kronecker block's bias-augmented input, (T, in + 1, rows)."""
+        rows, n_steps, n_blocks = self.rows, self.e.shape[0] - 1, self.aug.shape[1]
+        out = {"embed": self.x_in[:n_steps, :, :rows]}
+        for b in range(n_blocks):
+            out[f"block{b}.lstm"] = self.aug[:n_steps, b, :, :rows]
+        out["head"] = self.res[:n_steps, n_blocks, :, :rows]
+        return out
 
 
 @dataclass
 class RolloutResult:
-    """A recorded unroll, or the actions alone of a forward-only one."""
+    """An unroll's (n, T, d) actions. A recorded one also keeps the caches
+    :func:`reverse_sweep` reads, valid until ``params`` change."""
 
-    tape: dc.Tape | None
-    action_nodes: list[dc.Node]
-    channels: dict[str, dc.HookChannel]
+    params: PolicyParams
+    mask: np.ndarray
+    actions: np.ndarray
+    caches: list[_Caches]
 
-    @cached_property
-    def actions(self) -> np.ndarray:
-        """(n, T, d) array of the unrolled actions."""
-        return np.stack([n.value for n in self.action_nodes], axis=1)
+    @property
+    def activations(self) -> dict[str, list[np.ndarray]]:
+        """Per Kronecker block, its per-step (n, in + 1) inputs: views of
+        the caches, copied only to join row blocks."""
+        if not self.caches:
+            raise ValueError("a forward-only unroll keeps no layer inputs")
+        parts = [c.layer_inputs() for c in self.caches]
+        return {name: _per_step([p[name] for p in parts]) for name in parts[0]}
+
+
+def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """(T, k, rows) arrays of consecutive row blocks as T arrays of (n, k)."""
+    if len(blocks) == 1:
+        return [a.T for a in blocks[0]]
+    return [np.concatenate([a[t].T for a in blocks]) for t in range(blocks[0].shape[0])]
 
 
 def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
-            capture: bool = False, record: bool = True) -> RolloutResult:
+            record: bool = True) -> RolloutResult:
     """Unroll the policy over all steps of a feature tensor (n, T, f).
 
-    ``capture`` attaches a hook channel to every Kronecker block so that
-    per-step inputs (and, after a backward pass, pre-activation gradients)
-    are recorded. ``record=False`` builds no tape: it runs the fused
-    forward pass and raises ``DiffError`` naming the first step with a
-    non-finite action; a recorded unroll is checked by ``dc.backward``.
+    ``record`` keeps the caches that :func:`reverse_sweep` differentiates;
+    ``record=False`` is the forward-only pass of evaluation and
+    validation. Either raises ``DiffError`` naming the first step with a
+    non-finite action.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -145,38 +186,21 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         raise ValueError(f"feature width {n_feat} != config {config.n_features}")
     if mask.shape != (n_steps, config.action_dim):
         raise ValueError(f"mask shape {mask.shape} unexpected")
-    if not record:
-        if capture:
-            raise ValueError("hook capture needs a recorded rollout")
-        result = RolloutResult(tape=None, action_nodes=[], channels={})
-        result.actions = _forward(params, features, mask)
-        return result
-    tape = dc.Tape()
-    params_nodes = {name: tape.parameter(name, value) for name, value in params.values.items()}
-    channels = {name: dc.HookChannel(name) for name in params.kronecker_names} if capture else {}
-    state = _zero_state(tape, config, n)
-    action_nodes = []
-    for t in range(n_steps):
-        feat_node = tape.constant(features[:, t, :])
-        mask_row = tape.constant(mask[t].reshape(1, -1))
-        u, state = forward_step(params_nodes, config, state, feat_node, mask_row, channels)
-        action_nodes.append(u)
-    return RolloutResult(tape=tape, action_nodes=action_nodes, channels=channels)
+    actions, caches = _forward(params, features, mask, record)
+    return RolloutResult(params=params, mask=mask, actions=actions, caches=caches)
 
 
-ROW_BLOCK = 512  # paths per forward-only block: its (4H, 512) gates fit a core's L2 at H = 32
-COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in another order
-
-
-def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The tape's forward arithmetic, fused and feature-major; (n, T, d) actions.
+def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
+             record: bool) -> tuple[np.ndarray, list[_Caches]]:
+    """The policy's forward arithmetic, fused and feature-major; returns
+    the (n, T, d) actions and, when recording, each row block's caches.
 
     Paths run in blocks of ``ROW_BLOCK``, padded with zero-feature columns
     to whole groups of ``COLUMN_GROUP``, so a path's arithmetic does not
-    depend on where it sits. Buffers are (features, columns), allocated
-    once per block; each layer is one matrix product written in place. The
-    sigmoid gates use (tanh(z / 2) + 1) / 2 with the (exact) halving folded
-    into their weight rows, so one tanh covers all four gates.
+    depend on where it sits. Each layer is one matrix product written in
+    place into its cache slot. The sigmoid gates use (tanh(z / 2) + 1) / 2
+    with the (exact) halving folded into their weight rows, so one tanh
+    covers all four gates.
     """
     config, v = params.config, params.values
     h_dim, d, n_feat = config.hidden, config.action_dim, config.n_features
@@ -185,22 +209,26 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray) -> np
     halve = np.repeat([0.5, 1.0], [3 * h_dim, h_dim])[:, None]
     cells = [v[f"block{b}.lstm"] * halve for b in range(config.n_blocks)]
     actions = np.empty((n, n_steps, d))
+    all_caches = []
     for r0 in range(0, n, ROW_BLOCK):
         rows = min(ROW_BLOCK, n - r0)
-        cols = -(-rows // COLUMN_GROUP) * COLUMN_GROUP
-        # [features; u_prev; 1], [residual stream x; 1] and per cell [normed x; h; 1]
-        x_in, x, *cell_in = (np.zeros((k, cols)) for k in
-                             [n_feat + d + 1, h_dim + 1] + [2 * h_dim + 1] * config.n_blocks)
-        for buf in (x_in, x, *cell_in):
-            buf[-1] = 1.0
-        c = np.zeros((config.n_blocks, h_dim, cols))
-        gates, tmp = np.empty((4 * h_dim, cols)), np.empty((h_dim, cols))
-        xs, u = x[:h_dim], x_in[n_feat:n_feat + d]
+        cache = _Caches.allocate(config, n_steps, rows, record)
+        if record:
+            all_caches.append(cache)
         for t in range(n_steps):
+            now, nxt = (t, t + 1) if record else (0, 0)
+            x_in = cache.x_in[now]
             x_in[:n_feat, :rows] = features[r0:r0 + rows, t].T
+            xs = cache.res[now, 0, :h_dim]
             np.matmul(v["embed"], x_in, out=xs)
-            for w, gain, aug, c_b in zip(cells, gains, cell_in, c):
-                r = 1.0 / np.sqrt(np.einsum("ij,ij->j", xs, xs) / h_dim + dc.RMS_EPS)
+            for b, (w, gain) in enumerate(zip(cells, gains)):
+                kb = b if record else 0
+                aug, gates, r = cache.aug[now, b], cache.gates[now, kb], cache.r[now, kb]
+                np.einsum("ij,ij->j", xs, xs, out=r)
+                r /= h_dim
+                r += dc.RMS_EPS
+                np.sqrt(r, out=r)
+                np.divide(1.0, r, out=r)
                 np.multiply(xs, r, out=aug[:h_dim])
                 aug[:h_dim] *= gain
                 np.matmul(w, aug, out=gates)
@@ -208,18 +236,132 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray) -> np
                 gates[:3 * h_dim] += 1.0
                 gates[:3 * h_dim] *= 0.5
                 i_g, f_g, o_g, g_g = np.split(gates, 4)
-                c_b *= f_g
-                np.multiply(i_g, g_g, out=tmp)
-                c_b += tmp
-                np.tanh(c_b, out=tmp)
-                np.multiply(o_g, tmp, out=aug[h_dim:2 * h_dim])
-                xs += aug[h_dim:2 * h_dim]
-            pre_u = v["head"] @ x   # symexp, then the mask
+                c_new, tanh_c = cache.c[nxt, b], cache.tanh_c[now, kb]
+                np.multiply(cache.c[now, b], f_g, out=c_new)
+                np.multiply(i_g, g_g, out=tanh_c)
+                c_new += tanh_c
+                np.tanh(c_new, out=tanh_c)
+                h_new = cache.aug[nxt, b, h_dim:2 * h_dim]
+                np.multiply(o_g, tanh_c, out=h_new)
+                xs_next = cache.res[now, kb + 1, :h_dim]
+                np.add(xs, h_new, out=xs_next)   # residual: input plus cell output
+                xs = xs_next
+            pre_u = v["head"] @ cache.res[now, -1]   # symexp, then the mask
+            e, u = cache.e[now], cache.x_in[nxt, n_feat:n_feat + d]
             with np.errstate(over="ignore"):
-                e = np.exp(np.abs(pre_u))
+                np.exp(np.abs(pre_u), out=e)
             np.multiply(np.sign(pre_u), e - 1.0, out=u)
             u *= mask[t][:, None]
             if not np.isfinite(u[:, :rows].sum()):
                 raise dc.DiffError(f"non-finite action at step {t}")
             actions[r0:r0 + rows, t] = u[:, :rows].T
-    return actions
+    return actions, all_caches
+
+
+def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
+                  ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+    """Backpropagate the action seed ``du`` (n, T, d) through a recorded
+    unroll: the gradient of <du, u> with respect to every parameter.
+
+    The batch objective's gradient has ``du = dL/du``; the pseudo-gradient
+    has ``du = s``. With ``capture``, also returns each Kronecker block's
+    per-step (n, out) pre-activation gradients, whose outer products with
+    ``result.activations`` sum to the weight gradient. Raises ``DiffError``
+    naming a parameter whose gradient is not finite.
+
+    The sweep runs each row block backward through time over its caches,
+    column by column as the forward does, so a path's pre-activation
+    gradients do not depend on its batch.
+    """
+    params = result.params
+    config, v = params.config, params.values
+    h_dim, d, n_feat, n_blocks = (config.hidden, config.action_dim, config.n_features,
+                                  config.n_blocks)
+    if not result.caches:
+        raise ValueError("a forward-only unroll cannot be differentiated")
+    if du.shape != result.actions.shape:
+        raise ValueError(f"seed shape {du.shape} != actions {result.actions.shape}")
+    n_steps = du.shape[1]
+    grads = {name: np.zeros_like(value) for name, value in v.items()}
+    lstm = [f"block{b}.lstm" for b in range(n_blocks)]
+    gain_grads = [grads[f"block{b}.gain"][0] for b in range(n_blocks)]
+    gains = [v[f"block{b}.gain"].reshape(-1, 1) for b in range(n_blocks)]
+    w_in = [np.ascontiguousarray(v[name][:, :2 * h_dim].T) for name in lstm]
+    head_in = np.ascontiguousarray(v["head"][:, :h_dim].T)
+    embed_u = np.ascontiguousarray(v["embed"][:, n_feat:n_feat + d].T)
+    slots = n_steps if capture else 1
+    captured = []
+    r0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cache in result.caches:
+            rows, cols = cache.rows, cache.e.shape[-1]
+            # pre-activation gradients: the embedding's, each cell's, the head's
+            g_embed = np.empty((slots, h_dim, cols))
+            g_cell = np.empty((slots, n_blocks, 4 * h_dim, cols))
+            g_head = np.zeros((slots, d, cols))
+            d_aug = np.zeros((n_blocks, 2 * h_dim, cols))   # rows H: carry dL/dh_prev back
+            d_c = np.zeros((n_blocks, h_dim, cols))          # dL/dc, carried back
+            du_next = np.zeros((d, cols))                    # dL/du_prev, carried back
+            dh, tmp, row = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty(cols)
+            for t in reversed(range(n_steps)):
+                k = t if capture else 0
+                g_u, dx = g_head[k], g_embed[k]
+                g_u[:, :rows] = du[r0:r0 + rows, t].T
+                g_u += du_next
+                g_u *= result.mask[t][:, None]
+                g_u *= cache.e[t]
+                grads["head"] += g_u[:, :rows] @ cache.res[t, -1, :, :rows].T
+                np.matmul(head_in, g_u, out=dx)
+                for b in reversed(range(n_blocks)):
+                    gates, d_pre, dc_b = cache.gates[t, b], g_cell[k, b], d_c[b]
+                    i_g, f_g, o_g, g_g = np.split(gates, 4)
+                    di, df, do, dg = np.split(d_pre, 4)
+                    tanh_c = cache.tanh_c[t, b]
+                    np.add(dx, d_aug[b, h_dim:], out=dh)
+                    # dL/dc: carried plus through h = o tanh(c)
+                    np.multiply(tanh_c, tanh_c, out=tmp)
+                    np.subtract(1.0, tmp, out=tmp)
+                    tmp *= dh
+                    tmp *= o_g
+                    dc_b += tmp
+                    # each sigmoid gate's s (1 - s), times what it multiplies
+                    np.subtract(1.0, gates[:3 * h_dim], out=d_pre[:3 * h_dim])
+                    d_pre[:3 * h_dim] *= gates[:3 * h_dim]
+                    di *= dc_b
+                    di *= g_g
+                    df *= dc_b
+                    df *= cache.c[t, b]
+                    do *= dh
+                    do *= tanh_c
+                    np.multiply(g_g, g_g, out=dg)
+                    np.subtract(1.0, dg, out=dg)
+                    dg *= dc_b
+                    dg *= i_g
+                    dc_b *= f_g
+                    grads[lstm[b]] += d_pre[:, :rows] @ cache.aug[t, b, :, :rows].T
+                    np.matmul(w_in[b], d_pre, out=d_aug[b])
+                    # RMSNorm: normed = x r gain with r = 1 / sqrt(mean(x^2) + eps)
+                    xs, r, d_norm = cache.res[t, b, :h_dim], cache.r[t, b], d_aug[b, :h_dim]
+                    np.multiply(xs, r, out=tmp)
+                    tmp *= d_norm
+                    gain_grads[b] += tmp[:, :rows].sum(axis=1)
+                    d_norm *= gains[b]
+                    np.einsum("ij,ij->j", d_norm, xs, out=row)
+                    row *= r ** 3 / h_dim
+                    np.multiply(d_norm, r, out=tmp)
+                    dx += tmp
+                    np.multiply(xs, row, out=tmp)
+                    dx -= tmp
+                grads["embed"] += dx[:, :rows] @ cache.x_in[t, :, :rows].T
+                np.matmul(embed_u, dx, out=du_next)
+            if capture:
+                captured.append({"embed": g_embed[..., :rows],
+                                 **{name: g_cell[:, b, :, :rows] for b, name in enumerate(lstm)},
+                                 "head": g_head[..., :rows]})
+            r0 += rows
+        for name, g in grads.items():
+            if not math.isfinite(float(g.sum())):
+                raise dc.DiffError(f"non-finite gradient of parameter '{name}'")
+    step_grads = ({name: _per_step([c[name] for c in captured]) for name in captured[0]}
+                  if capture else {})
+    return grads, step_grads

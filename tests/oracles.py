@@ -3,13 +3,20 @@
 Everything here is deliberately dumb and slow: central finite
 differences, brute-force payoff recomputation, dense matrix algebra,
 per-point option prices and a Monte Carlo pricer. None of it touches
-the reverse-mode machinery or the batched pricing it is used to check.
+the batched pricing or the policy's reverse sweep it is used to check.
+The policy's graph on the generic tape of :mod:`deephedge.diffcore`
+(:func:`tape_rollout`) is the reference the sweep's gradients and hook
+captures are compared with.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from deephedge import diffcore as dc
+from deephedge import policy as pol
 from deephedge import rngstreams
 from deephedge.contracts import GridSpec, InnerHessian, availability_mask
 from deephedge.market import HestonParams, _advance_substep
@@ -191,3 +198,61 @@ def mc_option_prices(params: HestonParams, contracts, dt: float,
     var = np.maximum(sq_sums / done - means ** 2, 0.0)
     ses = np.sqrt(var / done)
     return means, ses
+
+
+def tape_step(params_nodes: dict[str, dc.Node], config: pol.PolicyConfig,
+              hc: list[dc.Node], u_prev: dc.Node, features: dc.Node, mask_row: dc.Node,
+              channels: dict[str, dc.HookChannel]) -> tuple[dc.Node, list[dc.Node]]:
+    """One policy step on the tape; returns the masked action and each
+    block's stacked [h | c] state."""
+    h_dim = config.hidden
+    x = dc.affine(dc.concat([features, u_prev]), params_nodes["embed"],
+                  channel=channels.get("embed"))
+    new_hc = []
+    for b in range(config.n_blocks):
+        normed = dc.rms_normalize(x, params_nodes[f"block{b}.gain"])
+        hc_b = dc.lstm_cell(normed, hc[b], params_nodes[f"block{b}.lstm"],
+                            channel=channels.get(f"block{b}.lstm"))
+        x = dc.add(x, dc.slice_cols(hc_b, 0, h_dim))  # residual: input plus cell output
+        new_hc.append(hc_b)
+    head = dc.affine(x, params_nodes["head"], channel=channels.get("head"))
+    return dc.multiply(dc.symexp(head), mask_row), new_hc
+
+
+@dataclass
+class TapeRollout:
+    """The policy unrolled on a tape: action nodes and, when captured, a
+    hook channel per Kronecker block."""
+
+    tape: dc.Tape
+    action_nodes: list[dc.Node]
+    channels: dict[str, dc.HookChannel]
+
+    @property
+    def actions(self) -> np.ndarray:
+        return np.stack([n.value for n in self.action_nodes], axis=1)
+
+
+def tape_rollout(params: pol.PolicyParams, features: np.ndarray, mask: np.ndarray,
+                 capture: bool = False) -> TapeRollout:
+    """Record the unroll of ``features`` (n, T, f) on a fresh tape."""
+    config = params.config
+    n, n_steps, _ = features.shape
+    tape = dc.Tape()
+    params_nodes = {name: tape.parameter(name, value) for name, value in params.values.items()}
+    channels = {name: dc.HookChannel(name) for name in params.kronecker_names} if capture else {}
+    hc = [tape.constant(np.zeros((n, 2 * config.hidden))) for _ in range(config.n_blocks)]
+    u = tape.constant(np.zeros((n, config.action_dim)))
+    action_nodes = []
+    for t in range(n_steps):
+        u, hc = tape_step(params_nodes, config, hc, u, tape.constant(features[:, t, :]),
+                          tape.constant(mask[t].reshape(1, -1)), channels)
+        action_nodes.append(u)
+    return TapeRollout(tape=tape, action_nodes=action_nodes, channels=channels)
+
+
+def tape_inner(action_nodes: list[dc.Node], s: np.ndarray) -> dc.Node:
+    """<s, u> on the tape for an (n, T, d) target ``s``: the gains column of
+    the fused hedging aggregate with ``s`` as returns and zero costs."""
+    sums = dc.hedge_accumulate(action_nodes, s, np.zeros(s.shape[2]))
+    return dc.total(dc.slice_cols(sums, 0, 1))

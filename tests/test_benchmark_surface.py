@@ -92,7 +92,11 @@ def _traced_metrics(tracing, tmp_path, name):
 def test_a_traced_kfac_run_times_every_curvature_call(tracing, tmp_path):
     # A call that went round its wrapped name would report a silent zero.
     metrics = _traced_metrics(tracing, tmp_path, "kfac")
-    assert metrics["diffcore.backward.calls"] == 5   # 2 batch, 2 pseudo, 1 probe
+    assert metrics["diffcore.backward.calls"] == 0   # training sweeps; it builds no tape
+    # Every unroll goes through policy.rollout, 21 steps each: the baseline
+    # and 2 validations of 32 paths, 2 batches of 32, 2 pseudo-paths and
+    # the probe's 8 paths.
+    assert metrics["policy.rollout.path_steps"] == 21 * (3 * 32 + 2 * 32 + 2 + 8)
     assert metrics["optim.update_eigenbasis.calls"] == 1
     for layer in ("optim.pseudo_backward", "optim.update_input_stats",
                   "optim.update_output_stats", "optim.update_eigenbasis",

@@ -391,3 +391,19 @@ def test_pseudo_target_covariance_matches_dense_hessian():
     se = prods.std(axis=0, ddof=1) / np.sqrt(n)
     assert (np.abs(emp - dense) < 5 * se + 1e-12).all()
 
+
+
+def test_objective_gradient_matches_the_tape():
+    rng = np.random.default_rng(10)
+    actions, returns, payoff = _random_episode(rng, n=5, n_steps=4, d=3)
+    actions[0, 1, 2] = 0.0   # sign(0) = 0: no cost gradient at a zero trade
+    costs, gamma = ct.CostSpec(), 1000.0
+    tape = dc.Tape()
+    u = tape.parameter("u", actions.reshape(5, -1))
+    nodes = [dc.slice_cols(u, t * 3, (t + 1) * 3) for t in range(4)]
+    want = dc.backward(ct.batch_objective(nodes, returns, payoff, gamma, costs))["u"]
+    got = ct.objective_gradient(actions, returns, payoff, gamma, costs)
+    assert got.shape == actions.shape
+    assert np.abs(got.reshape(5, -1) - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        ct.objective_gradient(actions[:1], returns[:1], payoff[:1], gamma, costs)

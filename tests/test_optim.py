@@ -5,7 +5,7 @@ from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import optim as op
 from deephedge import policy as pol
-from oracles import central_diff_jacobian, inner_hessian_dense
+from oracles import central_diff_jacobian, inner_hessian_dense, tape_inner, tape_rollout
 
 
 def make_optimizer(seed=0, config=None, action_dim=3):
@@ -23,21 +23,16 @@ def factored_blocks(kfac):
 # factor updates
 
 
+def _random_activations(params, rng, batch, n_steps):
+    return {name: [rng.normal(size=(batch, params.values[name].shape[1]))
+                   for _ in range(n_steps)] for name in params.kronecker_names}
+
+
 def test_update_a_degenerate_ema_replaces():
     params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
-    rng = np.random.default_rng(1)
-    width = params.values["embed"].shape[1]
-    chan = dc.HookChannel("embed")
-    acts = [rng.normal(size=(5, width)) for _ in range(3)]
-    chan.activations.extend(acts)
-    channels = {name: dc.HookChannel(name) for name in params.kronecker_names}
-    channels["embed"] = chan
-    for name, c in channels.items():
-        if name != "embed":
-            shape = params.values[name].shape[1]
-            c.activations.append(rng.normal(size=(5, shape)))
-    kfac.update_input_stats(channels)
-    want = sum(a.T @ a for a in acts) / (5 * np.sqrt(3))
+    activations = _random_activations(params, np.random.default_rng(1), 5, 3)
+    kfac.update_input_stats(activations)
+    want = sum(a.T @ a for a in activations["embed"]) / (5 * np.sqrt(3))
     got = kfac.blocks["embed"].a_cov
     assert np.abs(got - want).max() < 1e-14
 
@@ -45,15 +40,12 @@ def test_update_a_degenerate_ema_replaces():
 def test_update_a_constant_unit_activation():
     # a_t = e1 over four steps, batch of one: contribution 4 / sqrt(4) = 2 e1 e1^T
     params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
-    channels = {}
+    activations = {}
     for name in params.kronecker_names:
-        width = params.values[name].shape[1]
-        chan = dc.HookChannel(name)
-        e1 = np.zeros((1, width))
+        e1 = np.zeros((1, params.values[name].shape[1]))
         e1[0, 0] = 1.0
-        chan.activations.extend([e1] * 4)
-        channels[name] = chan
-    kfac.update_input_stats(channels)
+        activations[name] = [e1] * 4
+    kfac.update_input_stats(activations)
     a = kfac.blocks["embed"].a_cov
     want = np.zeros_like(a)
     want[0, 0] = 2.0
@@ -64,17 +56,26 @@ def test_a_stays_symmetric_psd_under_random_updates():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(3)
     for _ in range(100):
-        channels = {}
-        for name in params.kronecker_names:
-            width = params.values[name].shape[1]
-            chan = dc.HookChannel(name)
-            chan.activations.extend(rng.normal(size=(4, width)) for _ in range(3))
-            channels[name] = chan
-        kfac.update_input_stats(channels)
+        kfac.update_input_stats(_random_activations(params, rng, 4, 3))
     for curve in factored_blocks(kfac):
         a = curve.a_cov
         assert np.abs(a - a.T).max() < 1e-12
         assert np.linalg.eigvalsh(a).min() >= -1e-12
+
+
+def test_update_a_reads_the_batch_layer_inputs():
+    # From a recorded unroll, A is the sum over steps of the tape's hook
+    # captures' second moments, scaled by batch size and sqrt(T).
+    params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
+    rng = np.random.default_rng(2)
+    features = rng.normal(size=(6, 4, params.config.n_features))
+    mask = np.ones((4, params.config.action_dim))
+    kfac.update_input_stats(pol.rollout(params, features, mask).activations)
+    channels = tape_rollout(params, features, mask, capture=True).channels
+    for name, channel in channels.items():
+        want = sum(a.T @ a for a in channel.activations) / (6 * np.sqrt(4))
+        got = kfac.blocks[name].a_cov
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,25 @@ def test_pseudo_backward_zero_target_gives_zero():
     h = ct.InnerHessian(gamma=0.0, r_vec=np.zeros(6), diag=np.zeros(6))
     g = _pseudo_gradient(params, features, mask, h, np.random.default_rng(4))
     assert g.size == 66 and np.all(g == 0.0)
+
+
+def test_pseudo_backward_matches_the_tape():
+    # The backward pass of <s, u> on the tape, with the same draw of s.
+    params, features, mask = _one_path(3)
+    rng = np.random.default_rng(3)
+    returns = rng.normal(size=(3, 2)) * 0.1
+    returns[mask == 0.0] = 0.0
+    h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec())
+    grads, step_grads = op.pseudo_backward(params, features, mask, h, np.random.default_rng(9))
+    s = ct.sample_pseudo_target(h, np.random.default_rng(9)).reshape(1, 3, 2)
+    tape = tape_rollout(params, features, mask, capture=True)
+    want = dc.backward(tape_inner(tape.action_nodes, s), hooks=tape.channels.values())
+    assert grads.keys() == want.keys() and step_grads.keys() == tape.channels.keys()
+    for name, w in want.items():
+        assert np.abs(grads[name] - w).max() <= 1e-12 * np.abs(w).max(), name
+    for name, channel in tape.channels.items():
+        for g, w in zip(step_grads[name], channel.grads, strict=True):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
 def test_pseudo_backward_linear_in_target():

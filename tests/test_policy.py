@@ -8,7 +8,8 @@ from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import policy as pol
 from deephedge import rngstreams
-from oracles import central_diff_gradient_map, relative_gradient_error
+from oracles import (central_diff_gradient_map, relative_gradient_error, tape_inner,
+                     tape_rollout, tape_step)
 
 TINY = pol.PolicyConfig(action_dim=3, hidden=4, n_blocks=2)
 
@@ -90,16 +91,18 @@ def test_zero_params_zero_input_gives_zero_action():
 
 
 def test_single_step_rollout_equals_forward_step():
+    # The tape oracle's unroll is its step, repeated.
     rng = np.random.default_rng(4)
     params = pol.init_params(TINY, rng)
     features, mask, _, _ = _random_problem(rng, TINY, n=3, n_steps=1)
-    via_rollout = pol.rollout(params, features, mask).actions[:, 0, :]
+    via_rollout = tape_rollout(params, features, mask).actions[:, 0, :]
 
     tape = dc.Tape()
     pnodes = {k: tape.parameter(k, v) for k, v in params.values.items()}
-    state = pol._zero_state(tape, TINY, 3)
-    u, _ = pol.forward_step(pnodes, TINY, state, tape.constant(features[:, 0, :]),
-                            tape.constant(mask[0].reshape(1, -1)))
+    hc = [tape.constant(np.zeros((3, 2 * TINY.hidden))) for _ in range(TINY.n_blocks)]
+    u, _ = tape_step(pnodes, TINY, hc, tape.constant(np.zeros((3, TINY.action_dim))),
+                     tape.constant(features[:, 0, :]), tape.constant(mask[0].reshape(1, -1)),
+                     {})
     assert np.array_equal(via_rollout, u.value)
 
 
@@ -131,10 +134,16 @@ def test_forward_only_actions_match_the_tape(n):
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     mask[:, 2] = 0.0   # and column 1 drops out for the last two steps
     fused = pol.rollout(params, features, mask, record=False).actions
-    tape = pol.rollout(params, features, mask).actions
+    tape = tape_rollout(params, features, mask).actions
     assert np.abs(tape).max() > 0.1   # the head scale keeps the actions nonlinear
     assert np.all(fused[:, :, 2] == 0.0) and np.all(fused[:, -2:, 1] == 0.0)
     assert np.linalg.norm(fused - tape) <= 1e-12 * np.linalg.norm(tape)
+    # a recorded unroll is the same arithmetic as a forward-only one
+    assert np.array_equal(pol.rollout(params, features, mask).actions, fused)
+
+
+def _objective_seed(result, returns, payoff, gamma=1000.0, costs=ct.CostSpec()):
+    return ct.objective_gradient(result.actions, returns, payoff, gamma, costs)
 
 
 def test_rollout_gradient_matches_finite_differences():
@@ -145,8 +154,7 @@ def test_rollout_gradient_matches_finite_differences():
     gamma, costs = 1000.0, ct.CostSpec()
 
     result = pol.rollout(params, features, mask)
-    loss = ct.batch_objective(result.action_nodes, returns, payoff, gamma, costs)
-    grads = dc.backward(loss)
+    grads, _ = pol.reverse_sweep(result, _objective_seed(result, returns, payoff, gamma, costs))
 
     def scalar(values):
         trial = pol.PolicyParams(config, values)
@@ -164,12 +172,10 @@ def test_action_recurrence_carries_gradient():
     config = TINY
     params = pol.init_params(config, rng)
     features, mask, returns, payoff = _random_problem(rng, config)
-    gamma, costs = 1000.0, ct.CostSpec()
 
     def head_grad(p):
         res = pol.rollout(p, features, mask)
-        loss = ct.batch_objective(res.action_nodes, returns, payoff, gamma, costs)
-        return dc.backward(loss)["head"]
+        return pol.reverse_sweep(res, _objective_seed(res, returns, payoff))[0]["head"]
 
     g_with = head_grad(params)
     ablated = params.copy()
@@ -179,15 +185,116 @@ def test_action_recurrence_carries_gradient():
 
 
 def test_hook_channels_record_every_step():
+    # The hook-sum identity on the sweep: per-step outer products of the
+    # pre-activation gradients and layer inputs sum to the weight gradient.
     rng = np.random.default_rng(8)
     params = pol.init_params(TINY, rng)
     features, mask, returns, payoff = _random_problem(rng, TINY, n_steps=6)
-    result = pol.rollout(params, features, mask, capture=True)
-    loss = ct.batch_objective(result.action_nodes, returns, payoff, 1000.0, ct.CostSpec())
-    grads = dc.backward(loss, hooks=result.channels.values())
-    for name, channel in result.channels.items():
-        assert len(channel.activations) == len(channel.grads) == 6
-        assert np.abs(channel.weight_gradient() - grads[name]).max() < 1e-12
+    result = pol.rollout(params, features, mask)
+    grads, step_grads = pol.reverse_sweep(result, _objective_seed(result, returns, payoff),
+                                          capture=True)
+    assert step_grads.keys() == result.activations.keys() == set(params.kronecker_names)
+    for name, activations in result.activations.items():
+        assert len(activations) == len(step_grads[name]) == 6
+        hook_sum = sum(g.T @ a for g, a in zip(step_grads[name], activations))
+        assert np.abs(hook_sum - grads[name]).max() < 1e-12
+
+
+# (config, batch size): the objective needs two paths, the pseudo graph one
+SWEEP_CASES = [(config, n) for config in (TINY, ORACLE)
+               for n in (1, 3, 13, pol.ROW_BLOCK + 3)]
+
+
+def _tape_gradients(params, features, mask, seed_graph, hooks=False):
+    tape = tape_rollout(params, features, mask, capture=hooks)
+    return dc.backward(seed_graph(tape.action_nodes), hooks=tape.channels.values()), tape
+
+
+def _assert_each_parameter_within(got, want, rtol):
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        assert np.abs(w).max() > 0.0, name
+        assert np.abs(got[name] - w).max() <= rtol * np.abs(w).max(), name
+
+
+@pytest.mark.parametrize("config,n", SWEEP_CASES)
+def test_sweep_gradients_match_the_tape(config, n):
+    # Both graphs: the batch objective (seed dL/du) and <s, u> (seed s).
+    rng = np.random.default_rng(13)
+    params = pol.init_params(config, rng)
+    features, mask, returns, payoff = _random_problem(rng, config, n=n, n_steps=7)
+    s = rng.normal(size=(n, 7, config.action_dim))
+    result = pol.rollout(params, features, mask)
+
+    grads, _ = pol.reverse_sweep(result, s)
+    want, _ = _tape_gradients(params, features, mask, lambda nodes: tape_inner(nodes, s))
+    _assert_each_parameter_within(grads, want, 1e-12)
+    if n >= 2:
+        grads, _ = pol.reverse_sweep(result, _objective_seed(result, returns, payoff))
+        want, _ = _tape_gradients(params, features, mask, lambda nodes: ct.batch_objective(
+            nodes, returns, payoff, 1000.0, ct.CostSpec()))
+        _assert_each_parameter_within(grads, want, 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 13, pol.ROW_BLOCK + 3])
+def test_sweep_captures_match_the_tape_channels(n):
+    rng = np.random.default_rng(14)
+    params = pol.init_params(ORACLE, rng)
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+    s = rng.normal(size=(n, 7, ORACLE.action_dim))
+    result = pol.rollout(params, features, mask)
+    _, step_grads = pol.reverse_sweep(result, s, capture=True)
+    _, tape = _tape_gradients(params, features, mask, lambda nodes: tape_inner(nodes, s),
+                              hooks=True)
+    for name, channel in tape.channels.items():
+        for t in range(7):
+            a, g = result.activations[name][t], step_grads[name][t]
+            want_a, want_g = channel.activations[t], channel.grads[t]
+            assert a.shape == want_a.shape and g.shape == want_g.shape
+            assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max(), (name, t)
+            assert np.abs(g - want_g).max() <= 1e-12 * np.abs(want_g).max(), (name, t)
+
+
+def test_sweep_keeps_no_state_between_calls():
+    # Other inputs and batch sizes in between leave a call's results bit
+    # for bit as they were.
+    rng = np.random.default_rng(15)
+    params = pol.init_params(ORACLE, rng)
+
+    def sweep(n, seed):
+        r = np.random.default_rng(seed)
+        features, mask, _, _ = _random_problem(r, ORACLE, n=n, n_steps=7)
+        result = pol.rollout(params, features, mask)
+        grads, step_grads = pol.reverse_sweep(
+            result, r.normal(size=(n, 7, ORACLE.action_dim)), capture=True)
+        return result.actions, grads, step_grads, result.activations
+
+    first = sweep(13, 1)
+    sweep(pol.ROW_BLOCK + 3, 2)
+    sweep(1, 3)
+    again = sweep(13, 1)
+    assert np.array_equal(first[0], again[0])
+    for got, want in zip(again[1:], first[1:]):
+        for name in want:
+            assert np.array_equal(np.asarray(got[name]), np.asarray(want[name])), name
+
+
+def test_a_pseudo_path_is_its_column_in_the_batch():
+    # Bit for bit: a path swept alone gives the actions and per-step
+    # pre-activation gradients of its column in a batch with the same seed.
+    rng = np.random.default_rng(16)
+    params = pol.init_params(ORACLE, rng)
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=13, n_steps=7)
+    s = rng.normal(size=(13, 7, ORACLE.action_dim))
+    batch = pol.rollout(params, features, mask)
+    _, batch_grads = pol.reverse_sweep(batch, s, capture=True)
+    for i in (0, 7, 8, 12):
+        alone = pol.rollout(params, features[i:i + 1], mask)
+        _, alone_grads = pol.reverse_sweep(alone, s[i:i + 1], capture=True)
+        assert np.array_equal(alone.actions[0], batch.actions[i]), i
+        for name, steps in alone_grads.items():
+            for t, g in enumerate(steps):
+                assert np.array_equal(g[0], batch_grads[name][t][i]), (i, name, t)
 
 
 def test_tape_is_freed_without_the_cyclic_collector():
@@ -198,7 +305,7 @@ def test_tape_is_freed_without_the_cyclic_collector():
     features, mask, returns, payoff = _random_problem(rng, TINY)
     gc.disable()
     try:
-        result = pol.rollout(params, features, mask)
+        result = tape_rollout(params, features, mask)
         mid = weakref.ref(result.tape.nodes[len(result.tape.nodes) // 2].value)
         loss = ct.batch_objective(result.action_nodes, returns, payoff, 1000.0, ct.CostSpec())
         dc.backward(loss)
@@ -216,5 +323,20 @@ def test_rollout_validates_shapes():
         pol.rollout(params, np.zeros((2, 3, 5)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         pol.rollout(params, np.zeros((2, 3, 6)), np.ones((4, 3)))
-    with pytest.raises(ValueError, match="recorded"):   # hooks need a tape
-        pol.rollout(params, np.zeros((2, 3, 6)), np.ones((3, 3)), capture=True, record=False)
+    forward_only = pol.rollout(params, np.zeros((2, 3, 6)), np.ones((3, 3)), record=False)
+    with pytest.raises(ValueError, match="forward-only"):   # the sweep needs the caches
+        pol.reverse_sweep(forward_only, np.zeros((2, 3, 3)))
+    recorded = pol.rollout(params, np.zeros((2, 3, 6)), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="seed shape"):
+        pol.reverse_sweep(recorded, np.zeros((2, 4, 3)))
+
+
+def test_a_non_finite_gradient_names_its_parameter():
+    rng = np.random.default_rng(11)
+    params = pol.init_params(TINY, rng)
+    features, mask, _, _ = _random_problem(rng, TINY)
+    result = pol.rollout(params, features, mask)
+    seed = np.zeros(result.actions.shape)
+    seed[0, -1, 0] = np.inf
+    with pytest.raises(dc.DiffError, match="non-finite gradient of parameter 'embed'$"):
+        pol.reverse_sweep(result, seed)
