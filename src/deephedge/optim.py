@@ -13,8 +13,11 @@ generalized Gauss-Newton matrix the scheme approximates.
 
 Both optimizers step on the batch gradient through ``apply_step``. Before
 that, ``KfacOptimizer.update_curvature`` does one iteration's curvature
-work in order: input factors from the batch's layer inputs, one
-pseudo-backward, output factors and D, and the eigenbases on their cadence.
+work on the batch's recorded unroll, in order: input factors from its
+layer inputs on their cadence, one pseudo-backward along one of its
+paths, output factors and D, and the eigenbases on their cadence. The
+pseudo-path is a column of the batch's caches, copied out: both graphs
+are the same unroll, so no path is unrolled twice.
 
 Damping shrinks each block's eigen-spectrum linearly toward its own mean
 scale (trace preserving) instead of adding a shared ridge. Step sizes
@@ -142,24 +145,25 @@ def damped_scale(scale: np.ndarray, shrinkage: float) -> np.ndarray:
     return (1.0 - shrinkage) * scale + shrinkage * m
 
 
-def pseudo_backward(params: pol.PolicyParams, features: np.ndarray, mask: np.ndarray,
-                    hessian: ct.InnerHessian, rng: np.random.Generator
+def pseudo_backward(path: pol.RolloutResult, hessian: ct.InnerHessian,
+                    rng: np.random.Generator
                     ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
     """Backpropagate <s, u> along one path.
 
-    Unrolls the policy over ``features`` (1, T, f), so u is the path's
-    (T, d) actions, and sweeps back with the seed s. The target s is drawn
-    so that its covariance equals the action-space curvature ``hessian``,
-    making the covariance of the parameter gradients the Gauss-Newton
-    matrix. Returns those gradients and, per Kronecker block, the per-step
-    pre-activation gradients.
+    ``path`` is a recorded one-path unroll, such as ``batch.path(i)``, so u
+    is the path's (T, d) actions; the sweep seeds it with s. The target s
+    is drawn so that its covariance equals the action-space curvature
+    ``hessian``, making the covariance of the parameter gradients the
+    Gauss-Newton matrix. Returns those gradients and, per Kronecker block,
+    the per-step pre-activation gradients.
     """
-    result = pol.rollout(params, features, mask)
-    _, n_steps, d = result.actions.shape
+    n, n_steps, d = path.actions.shape
+    if n != 1:
+        raise ValueError(f"a pseudo-backward runs along one path, not {n}")
     if hessian.r_vec.size != n_steps * d:
         raise ValueError("inner Hessian size does not match the unrolled actions")
     s = ct.sample_pseudo_target(hessian, rng).reshape(1, n_steps, d)
-    return pol.reverse_sweep(result, s, capture=True)
+    return pol.reverse_sweep(path, s, capture=True)
 
 
 class KfacOptimizer:
@@ -186,18 +190,17 @@ class KfacOptimizer:
 
     # -- statistics updates ---------------------------------------------------
 
-    def update_curvature(self, params: pol.PolicyParams,
-                         activations: dict[str, list[np.ndarray]], features: np.ndarray,
-                         mask: np.ndarray, hessian: ct.InnerHessian,
-                         rng: np.random.Generator) -> None:
-        """One iteration's curvature work, after the batch's sweep has
-        checked the batch: the input factors when ``activations`` holds the
-        batch's layer inputs, then one pseudo-backward along ``features``
-        (1, T, f) with curvature ``hessian`` and noise ``rng``, the output
-        factors and D from it, and the eigenbases on their cadence."""
-        if activations:
-            self.update_input_stats(activations)
-        grads, step_grads = pseudo_backward(params, features, mask, hessian, rng)
+    def update_curvature(self, result: pol.RolloutResult, row: int,
+                         hessian: ct.InnerHessian, rng: np.random.Generator) -> None:
+        """One iteration's curvature work on the batch's recorded unroll
+        ``result``, after its sweep has checked the batch: the input factors
+        from its layer inputs on their cadence, then one pseudo-backward
+        along its path ``row`` with curvature ``hessian`` and noise ``rng``,
+        the output factors and D from it, and the eigenbases on their
+        cadence."""
+        if self.wants_input_stats:
+            self.update_input_stats(result.activations)
+        grads, step_grads = pseudo_backward(result.path(row), hessian, rng)
         self.update_output_stats(grads, step_grads)
         if self.wants_eigenbasis:
             self.update_eigenbasis()

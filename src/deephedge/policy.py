@@ -17,10 +17,14 @@ curvature blocks keep identity eigenbases, a damped diagonal method.
 One forward pass, :func:`rollout`, serves every caller. Evaluation and
 validation run it forward-only; training records time-major caches, and
 :func:`reverse_sweep` backpropagates an action seed through them by hand.
+A training run records every batch into one :class:`Workspace`, whose
+buffers live as long as the run and are overwritten by each batch, so a
+result's caches are valid only until the next unroll into its workspace.
 The system differentiates two graphs, both this unroll: the batch
-objective (seed dL/du) and <s, u> (seed s). Each weight gradient is the
-sum over steps of pre-activation gradients times layer inputs, the
-identity the Kronecker factors rest on. The generic tape of
+objective (seed dL/du) and <s, u> (seed s), the latter along one path of
+the batch, copied out of its caches by :meth:`RolloutResult.path`. Each
+weight gradient is the sum over steps of pre-activation gradients times
+layer inputs, the identity the Kronecker factors rest on. The generic tape of
 :mod:`deephedge.diffcore` is the reference the tests check the sweep
 against.
 """
@@ -28,7 +32,7 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -98,70 +102,154 @@ COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in 
 @dataclass
 class _Caches:
     """One row block's buffers, time-major and feature-major: (slot, ...,
-    features, columns). A recorded unroll keeps step t in slot t and the
-    recurrent values it hands to step t + 1 (the action, each cell's h
-    and c) in slot t + 1, so slot T only receives the last step's. A
-    forward-only unroll has one time slot, overwritten every step, and
-    its blocks share one block slot for r, the gates, tanh(c) and the
-    residual stream after each block, so its buffers stay in cache."""
+    features, columns). A recorded unroll keeps step t in slot t, and the
+    recurrent values it hands to step t + 1 (the action, each cell's h and
+    c) in slot t + 1 of ``x_in``, ``aug`` and ``c``, so only those three
+    have a slot T. A forward-only unroll has one time slot, overwritten
+    every step, and its blocks share one block slot for r, the gates,
+    tanh(c) and the residual stream after each block, so its buffers stay
+    in cache."""
 
     rows: int
-    x_in: np.ndarray    # (S, f + d + 1, cols): [features; u_prev; 1], the embedding's input
-    res: np.ndarray     # (S, B + 1, H + 1, cols): [residual stream; 1] into each block and the head
-    r: np.ndarray       # (S, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
-    aug: np.ndarray     # (S, B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input
-    gates: np.ndarray   # (S, B, 4H, cols): sigmoid(i, f, o), then tanh(g)
-    c: np.ndarray       # (S, B, H, cols): each cell's state before the step
-    tanh_c: np.ndarray  # (S, B, H, cols): tanh of the state after it
-    e: np.ndarray       # (S, d, cols): exp(|head output|), the derivative of symexp
+    x_in: np.ndarray    # (T + 1, f + d + 1, cols): [features; u_prev; 1], the embedding's input
+    res: np.ndarray     # (T, B + 1, H + 1, cols): [residual stream; 1] into each block and the head
+    r: np.ndarray       # (T, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
+    aug: np.ndarray     # (T + 1, B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input
+    gates: np.ndarray   # (T, B, 4H, cols): sigmoid(i, f, o), then tanh(g)
+    c: np.ndarray       # (T + 1, B, H, cols): each cell's state before the step
+    tanh_c: np.ndarray  # (T, B, H, cols): tanh of the state after it
+    e: np.ndarray       # (T, d, cols): exp(|head output|), the derivative of symexp
 
     @classmethod
     def allocate(cls, config: PolicyConfig, n_steps: int, rows: int,
                  record: bool) -> "_Caches":
         h_dim, d, n_blocks = config.hidden, config.action_dim, config.n_blocks
         cols = -(-rows // COLUMN_GROUP) * COLUMN_GROUP
-        slots, blocks = (n_steps + 1, n_blocks) if record else (1, 1)
+        steps, carried, blocks = (n_steps, n_steps + 1, n_blocks) if record else (1, 1, 1)
         caches = cls(rows=rows,
-                     x_in=np.zeros((slots, config.n_features + d + 1, cols)),
-                     res=np.zeros((slots, blocks + 1, h_dim + 1, cols)),
-                     r=np.empty((slots, blocks, cols)),
-                     aug=np.zeros((slots, n_blocks, 2 * h_dim + 1, cols)),
-                     gates=np.empty((slots, blocks, 4 * h_dim, cols)),
-                     c=np.zeros((slots, n_blocks, h_dim, cols)),
-                     tanh_c=np.empty((slots, blocks, h_dim, cols)),
-                     e=np.empty((slots, d, cols)))
-        for ones in (caches.x_in, caches.res, caches.aug):
-            ones[..., -1, :] = 1.0
+                     x_in=np.empty((carried, config.n_features + d + 1, cols)),
+                     res=np.empty((steps, blocks + 1, h_dim + 1, cols)),
+                     r=np.empty((steps, blocks, cols)),
+                     aug=np.empty((carried, n_blocks, 2 * h_dim + 1, cols)),
+                     gates=np.empty((steps, blocks, 4 * h_dim, cols)),
+                     c=np.empty((carried, n_blocks, h_dim, cols)),
+                     tanh_c=np.empty((steps, blocks, h_dim, cols)),
+                     e=np.empty((steps, d, cols)))
+        caches.reset(config.n_features)
         return caches
+
+    def reset(self, n_feat: int) -> None:
+        """Set what the unroll does not write, whatever the buffers held:
+        the first step's recurrent inputs (u_prev, h_prev, c) are zero, the
+        pad columns' features are zero and the bias rows are one, as are
+        the last slot's features and normed inputs, which no step reads.
+        Every other value is written before it is read, so after an unroll
+        the buffers hold a function of its inputs alone."""
+        for carried in (self.x_in, self.aug, self.c):
+            carried[0] = 0.0
+            carried[-1] = 0.0
+        self.x_in[:, :n_feat, self.rows:] = 0.0
+        for ones in (self.x_in, self.res, self.aug):
+            ones[..., -1, :] = 1.0
 
     def layer_inputs(self) -> dict[str, np.ndarray]:
         """Each Kronecker block's bias-augmented input, (T, in + 1, rows)."""
-        rows, n_steps, n_blocks = self.rows, self.e.shape[0] - 1, self.aug.shape[1]
+        rows, n_steps, n_blocks = self.rows, self.e.shape[0], self.aug.shape[1]
         out = {"embed": self.x_in[:n_steps, :, :rows]}
         for b in range(n_blocks):
             out[f"block{b}.lstm"] = self.aug[:n_steps, b, :, :rows]
         out["head"] = self.res[:n_steps, n_blocks, :, :rows]
         return out
 
+    def column(self, j: int) -> "_Caches":
+        """Column ``j`` as a one-path block: a copy of it in column 0 of
+        buffers padded with zero columns to ``COLUMN_GROUP``."""
+        one = {}
+        for f in fields(self):
+            if f.name != "rows":
+                src = getattr(self, f.name)
+                one[f.name] = np.zeros(src.shape[:-1] + (COLUMN_GROUP,))
+                one[f.name][..., 0] = src[..., j]
+        return _Caches(rows=1, **one)
+
+
+class Workspace:
+    """The buffers of recorded unrolls, reused from one unroll to the next.
+
+    The caches are allocated once per shape: an unroll of the same policy
+    shape, step count and path count writes over the previous one's, with
+    no fresh allocation, and any other unroll reallocates them. Sweeping or
+    reading the previous result would then read the new unroll, so an
+    unroll into the workspace, or :meth:`release`, invalidates every result
+    recorded into it before: :func:`reverse_sweep`, ``activations`` and
+    ``path`` refuse them. The workspace holds nothing between unrolls that
+    an unroll reads: each one resets what its forward reads before it
+    writes.
+    """
+
+    def __init__(self):
+        self._caches: list[_Caches] = []
+        self._shape: tuple | None = None
+        self.generation = 0
+
+    def caches(self, config: PolicyConfig, n_steps: int, n: int) -> list[_Caches]:
+        """Recorded caches for ``n`` paths over ``n_steps`` steps, one per row block."""
+        self.generation += 1
+        if self._shape == (config, n_steps, n):
+            for cache in self._caches:
+                cache.reset(config.n_features)
+            return self._caches
+        self.release()   # free the old caches before allocating their successors
+        self._caches = [_Caches.allocate(config, n_steps, min(ROW_BLOCK, n - r0), record=True)
+                        for r0 in range(0, n, ROW_BLOCK)]
+        self._shape = (config, n_steps, n)
+        return self._caches
+
+    def release(self) -> None:
+        """Drop the buffers, invalidating the last result recorded into them."""
+        self._caches, self._shape = [], None
+        self.generation += 1
+
 
 @dataclass
 class RolloutResult:
     """An unroll's (n, T, d) actions. A recorded one also keeps the caches
-    :func:`reverse_sweep` reads, valid until ``params`` change."""
+    :func:`reverse_sweep` reads, valid until ``params`` change or the
+    workspace they live in is unrolled into again."""
 
     params: PolicyParams
     mask: np.ndarray
     actions: np.ndarray
     caches: list[_Caches]
+    workspace: Workspace | None = None
+    generation: int = 0
+
+    def recorded(self) -> list[_Caches]:
+        """The caches, once they are there and still this unroll's."""
+        if not self.caches:
+            raise ValueError("a forward-only unroll keeps no caches")
+        if self.workspace is not None and self.workspace.generation != self.generation:
+            raise ValueError("this unroll's workspace has been unrolled into since")
+        return self.caches
 
     @property
     def activations(self) -> dict[str, list[np.ndarray]]:
         """Per Kronecker block, its per-step (n, in + 1) inputs: views of
         the caches, copied only to join row blocks."""
-        if not self.caches:
-            raise ValueError("a forward-only unroll keeps no layer inputs")
-        parts = [c.layer_inputs() for c in self.caches]
+        parts = [c.layer_inputs() for c in self.recorded()]
         return {name: _per_step([p[name] for p in parts]) for name in parts[0]}
+
+    def path(self, i: int) -> "RolloutResult":
+        """Path ``i`` as a one-path recorded unroll, copied out of the
+        caches. Sweeping it is, bit for bit, sweeping the path unrolled
+        alone: each column's arithmetic is its own, and every column sits
+        in a full group of ``COLUMN_GROUP``, here as in the batch."""
+        if not 0 <= i < self.actions.shape[0]:
+            raise IndexError(f"path {i} is not in an unroll of {self.actions.shape[0]}")
+        block, j = divmod(i, ROW_BLOCK)
+        return RolloutResult(params=self.params, mask=self.mask,
+                             actions=self.actions[i:i + 1],
+                             caches=[self.recorded()[block].column(j)])
 
 
 def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -171,11 +259,19 @@ def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
     return [np.concatenate([a[t].T for a in blocks]) for t in range(blocks[0].shape[0])]
 
 
+def _quarters(a: np.ndarray, h_dim: int) -> tuple[np.ndarray, ...]:
+    """The four gates' rows of a (4H, ...) array: views, as np.split gives
+    but at a fraction of its cost."""
+    return a[:h_dim], a[h_dim:2 * h_dim], a[2 * h_dim:3 * h_dim], a[3 * h_dim:]
+
+
 def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
-            record: bool = True) -> RolloutResult:
+            record: bool = True, workspace: Workspace | None = None) -> RolloutResult:
     """Unroll the policy over all steps of a feature tensor (n, T, f).
 
-    ``record`` keeps the caches that :func:`reverse_sweep` differentiates;
+    ``record`` keeps the caches that :func:`reverse_sweep` differentiates,
+    written into ``workspace`` when one is given (which invalidates the
+    results recorded into it before) and into fresh buffers otherwise;
     ``record=False`` is the forward-only pass of evaluation and
     validation. Either raises ``DiffError`` naming the first step with a
     non-finite action.
@@ -186,14 +282,23 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         raise ValueError(f"feature width {n_feat} != config {config.n_features}")
     if mask.shape != (n_steps, config.action_dim):
         raise ValueError(f"mask shape {mask.shape} unexpected")
-    actions, caches = _forward(params, features, mask, record)
-    return RolloutResult(params=params, mask=mask, actions=actions, caches=caches)
+    if not record:
+        if workspace is not None:
+            raise ValueError("a forward-only unroll records nothing into a workspace")
+        return RolloutResult(params=params, mask=mask,
+                             actions=_forward(params, features, mask, None), caches=[])
+    workspace = workspace or Workspace()
+    caches = workspace.caches(config, n_steps, n)
+    actions = _forward(params, features, mask, caches)
+    return RolloutResult(params=params, mask=mask, actions=actions, caches=caches,
+                         workspace=workspace, generation=workspace.generation)
 
 
 def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
-             record: bool) -> tuple[np.ndarray, list[_Caches]]:
+             caches: list[_Caches] | None) -> np.ndarray:
     """The policy's forward arithmetic, fused and feature-major; returns
-    the (n, T, d) actions and, when recording, each row block's caches.
+    the (n, T, d) actions, recording each row block into ``caches`` when
+    given and running forward-only when None.
 
     Paths run in blocks of ``ROW_BLOCK``, padded with zero-feature columns
     to whole groups of ``COLUMN_GROUP``, so a path's arithmetic does not
@@ -208,13 +313,11 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     gains = [v[f"block{b}.gain"].reshape(-1, 1) for b in range(config.n_blocks)]
     halve = np.repeat([0.5, 1.0], [3 * h_dim, h_dim])[:, None]
     cells = [v[f"block{b}.lstm"] * halve for b in range(config.n_blocks)]
+    record = caches is not None
     actions = np.empty((n, n_steps, d))
-    all_caches = []
-    for r0 in range(0, n, ROW_BLOCK):
+    for k, r0 in enumerate(range(0, n, ROW_BLOCK)):
         rows = min(ROW_BLOCK, n - r0)
-        cache = _Caches.allocate(config, n_steps, rows, record)
-        if record:
-            all_caches.append(cache)
+        cache = caches[k] if record else _Caches.allocate(config, n_steps, rows, record=False)
         for t in range(n_steps):
             now, nxt = (t, t + 1) if record else (0, 0)
             x_in = cache.x_in[now]
@@ -235,7 +338,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
                 np.tanh(gates, out=gates)
                 gates[:3 * h_dim] += 1.0
                 gates[:3 * h_dim] *= 0.5
-                i_g, f_g, o_g, g_g = np.split(gates, 4)
+                i_g, f_g, o_g, g_g = _quarters(gates, h_dim)
                 c_new, tanh_c = cache.c[nxt, b], cache.tanh_c[now, kb]
                 np.multiply(cache.c[now, b], f_g, out=c_new)
                 np.multiply(i_g, g_g, out=tanh_c)
@@ -255,7 +358,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
             if not np.isfinite(u[:, :rows].sum()):
                 raise dc.DiffError(f"non-finite action at step {t}")
             actions[r0:r0 + rows, t] = u[:, :rows].T
-    return actions, all_caches
+    return actions
 
 
 def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
@@ -277,8 +380,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     config, v = params.config, params.values
     h_dim, d, n_feat, n_blocks = (config.hidden, config.action_dim, config.n_features,
                                   config.n_blocks)
-    if not result.caches:
-        raise ValueError("a forward-only unroll cannot be differentiated")
+    caches = result.recorded()
     if du.shape != result.actions.shape:
         raise ValueError(f"seed shape {du.shape} != actions {result.actions.shape}")
     n_steps = du.shape[1]
@@ -293,7 +395,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     captured = []
     r0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for cache in result.caches:
+        for cache in caches:
             rows, cols = cache.rows, cache.e.shape[-1]
             # pre-activation gradients: the embedding's, each cell's, the head's
             g_embed = np.empty((slots, h_dim, cols))
@@ -314,8 +416,8 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                 np.matmul(head_in, g_u, out=dx)
                 for b in reversed(range(n_blocks)):
                     gates, d_pre, dc_b = cache.gates[t, b], g_cell[k, b], d_c[b]
-                    i_g, f_g, o_g, g_g = np.split(gates, 4)
-                    di, df, do, dg = np.split(d_pre, 4)
+                    i_g, f_g, o_g, g_g = _quarters(gates, h_dim)
+                    di, df, do, dg = _quarters(d_pre, h_dim)
                     tanh_c = cache.tanh_c[t, b]
                     np.add(dx, d_aug[b, h_dim:], out=dh)
                     # dL/dc: carried plus through h = o tanh(c)

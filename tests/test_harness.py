@@ -222,18 +222,29 @@ def toy_datasets():
 # round-off, so a change to the arithmetic of either graph shows here.
 # KFAC at the TOY defaults diverges at its third iteration (see
 # test_failed_run_checkpoint_equals_a_straight_run_to_its_last_iteration),
-# so its run stops after two.
+# so these runs use the benchmark's setting, with which it trains.
 GOLDEN_TRAIN_LOSS = {
     "adam": [0.10176359554310248, 0.20549282795160467, 0.16439891661843806],
-    "kfac": [0.10176359554310248, 0.2015634569017083],
+    "kfac": [0.10176359554310248, 0.1826874387316166, 0.139543012263215,
+             0.12471052899390885],
 }
+TRAINING_KFAC = {"beta_momentum": 0.0, "tr_init": 1e-6}
+
+
+def _toy_config(name, iterations, **training):
+    """TOY with optimizer ``name`` (KFAC at TRAINING_KFAC) for ``iterations``,
+    and any other ``training`` settings."""
+    raw = _with("training.max_iterations", iterations)
+    raw["training"].update(training)
+    if name == "kfac":
+        raw["optimizer"] = {"kfac": dict(TRAINING_KFAC)}
+    return harness.build_config(raw, optimizer_override=name)
 
 
 @pytest.mark.parametrize("name", ["adam", "kfac"])
 def test_train_writes_metrics_and_a_matching_checkpoint(tmp_path, toy_datasets, name):
     iterations = len(GOLDEN_TRAIN_LOSS[name])
-    cfg = harness.build_config(_with("training.max_iterations", iterations),
-                               optimizer_override=name)
+    cfg = _toy_config(name, iterations)
     result = harness.train(cfg, tmp_path, datasets=toy_datasets)
     lines = Path(result.metrics_path).read_text().splitlines()
     assert lines[0] == harness.METRICS_HEADER
@@ -311,18 +322,13 @@ def _metrics_without_wall_ms(path):
     return [row.rsplit(",", 1)[0] for row in Path(path).read_text().splitlines()]
 
 
-# Half the run, then the rest. KFAC runs two iterations, not more: at the
-# TOY defaults it diverges at the third.
-RESUMED_RUN_ITERATIONS = {"adam": 4, "kfac": 2}
-
-
 @pytest.mark.parametrize("name", ["adam", "kfac"])
 def test_resumed_run_equals_a_straight_run(tmp_path, toy_datasets, name):
-    total = RESUMED_RUN_ITERATIONS[name]
+    # Half the run, then the rest.
+    total = 4
 
     def cfg(iterations):
-        return harness.build_config(_with("training.max_iterations", iterations),
-                                    optimizer_override=name)
+        return _toy_config(name, iterations)
 
     first = harness.train(cfg(total // 2), tmp_path / "resumed", datasets=toy_datasets)
     resumed = harness.train(cfg(total), tmp_path / "resumed",
@@ -337,6 +343,24 @@ def test_resumed_run_equals_a_straight_run(tmp_path, toy_datasets, name):
     assert (_metrics_without_wall_ms(resumed.metrics_path)
             == _metrics_without_wall_ms(straight.metrics_path))
     assert len(_metrics_without_wall_ms(straight.metrics_path)) == 1 + total
+
+
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_two_runs_in_one_process_are_identical(tmp_path, toy_datasets, name):
+    # A run records every batch into its own workspace and drops it before
+    # each probe: a second run, with a probe and a validation between its
+    # iterations, repeats the first bit for bit.
+    cfg = _toy_config(name, 4, probe_every=2)
+    first = harness.train(cfg, tmp_path / "first", datasets=toy_datasets)
+    second = harness.train(cfg, tmp_path / "second", datasets=toy_datasets)
+    rows = _metrics_without_wall_ms(first.metrics_path)
+    assert [r.split(",")[5] != "" for r in rows[1:]] == [True, False, True, False]
+    assert [r.split(",")[2] != "" for r in rows[1:]] == [True, False, True, False]
+    assert rows == _metrics_without_wall_ms(second.metrics_path)
+    got = _resume_records(second.checkpoint_path)
+    want = _resume_records(first.checkpoint_path)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 # A head 1e6 times the default overflows symexp at the first step: training

@@ -99,7 +99,7 @@ def _one_path(seed):
 
 def _pseudo_gradient(params, features, mask, hessian, rng) -> np.ndarray:
     """All parameter pseudo-gradients, flattened in the order of ``params.values``."""
-    grads, _ = op.pseudo_backward(params, features, mask, hessian, rng)
+    grads, _ = op.pseudo_backward(pol.rollout(params, features, mask), hessian, rng)
     assert grads.keys() == params.values.keys()
     return np.concatenate([g.ravel() for g in grads.values()])
 
@@ -118,7 +118,8 @@ def test_pseudo_backward_matches_the_tape():
     returns = rng.normal(size=(3, 2)) * 0.1
     returns[mask == 0.0] = 0.0
     h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec())
-    grads, step_grads = op.pseudo_backward(params, features, mask, h, np.random.default_rng(9))
+    grads, step_grads = op.pseudo_backward(pol.rollout(params, features, mask), h,
+                                           np.random.default_rng(9))
     s = ct.sample_pseudo_target(h, np.random.default_rng(9)).reshape(1, 3, 2)
     tape = tape_rollout(params, features, mask, capture=True)
     want = dc.backward(tape_inner(tape.action_nodes, s), hooks=tape.channels.values())
@@ -147,6 +148,32 @@ def test_pseudo_backward_linear_in_target():
     g1 = _pseudo_gradient(params, features, mask, h, FixedRng(1.0))
     g2 = _pseudo_gradient(params, features, mask, h, FixedRng(2.0))
     assert np.abs(g1).max() > 0.0 and np.allclose(g2, 2.0 * g1, rtol=0.0, atol=1e-15)
+
+
+def test_a_pseudo_path_read_from_its_batch_is_the_path_unrolled_alone():
+    # Bit for bit, at the edges of the column groups of a 13-path batch
+    # of a policy wide enough for BLAS's edge kernels to round differently.
+    config = pol.PolicyConfig(action_dim=3, hidden=8, n_blocks=4, head_scale=0.1)
+    rng = np.random.default_rng(10)
+    params = pol.init_params(config, rng)
+    features = rng.normal(size=(13, 7, config.n_features)) * 0.5 + 1.0
+    mask = np.ones((7, 3))
+    mask[-2:, 1] = 0.0
+    returns = rng.normal(size=(7, 3)) * 0.1
+    returns[mask == 0.0] = 0.0
+    h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec())
+    batch = pol.rollout(params, features, mask, workspace=pol.Workspace())
+    for i in (0, 7, 8, 12):
+        got = op.pseudo_backward(batch.path(i), h, np.random.default_rng(i))
+        want = op.pseudo_backward(pol.rollout(params, features[i:i + 1], mask), h,
+                                  np.random.default_rng(i))
+        assert got[0].keys() == want[0].keys() and got[1].keys() == want[1].keys()
+        for name, w in want[0].items():
+            assert np.array_equal(got[0][name], w), (i, name)
+        for name, steps in want[1].items():
+            assert all(np.array_equal(g, w) for g, w in zip(got[1][name], steps, strict=True))
+    with pytest.raises(ValueError, match="one path"):
+        op.pseudo_backward(batch, h, np.random.default_rng(0))
 
 
 def _covariance_within_five_standard_errors(returns_scale):

@@ -1,5 +1,7 @@
 import gc
+import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -295,6 +297,83 @@ def test_a_pseudo_path_is_its_column_in_the_batch():
         for name, steps in alone_grads.items():
             for t, g in enumerate(steps):
                 assert np.array_equal(g[0], batch_grads[name][t][i]), (i, name, t)
+
+
+def _sweep(result, s):
+    """Actions, gradients, captures and layer inputs of a recorded unroll."""
+    grads, step_grads = pol.reverse_sweep(result, s, capture=True)
+    return result.actions, grads, step_grads, result.activations
+
+
+def test_a_reused_workspace_gives_what_fresh_buffers_give():
+    # Bit for bit, buffers included, whether the workspace grows, shrinks,
+    # splits into row blocks or is reused at its size, with NaN left in its
+    # buffers each time.
+    rng = np.random.default_rng(17)
+    params = pol.init_params(ORACLE, rng)
+    workspace = pol.Workspace()
+    for n in (13, 5, 13, 13, pol.ROW_BLOCK + 3, pol.ROW_BLOCK + 3):
+        for cache in workspace._caches:
+            for f in fields(cache):
+                if f.name != "rows":
+                    getattr(cache, f.name).fill(np.nan)
+        features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+        s = rng.normal(size=(n, 7, ORACLE.action_dim))
+        reused = pol.rollout(params, features, mask, workspace=workspace)
+        fresh = pol.rollout(params, features, mask)
+        for got, want in zip(reused.caches, fresh.caches, strict=True):
+            for f in fields(want):
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), (n, f.name)
+        got, want = _sweep(reused, s), _sweep(fresh, s)
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert g.keys() == w.keys()
+            for name in w:
+                assert np.array_equal(np.asarray(g[name]), np.asarray(w[name])), (n, name)
+
+
+def test_a_reused_workspace_refuses_the_results_it_held():
+    rng = np.random.default_rng(18)
+    params = pol.init_params(TINY, rng)
+    features, mask, _, _ = _random_problem(rng, TINY)
+    workspace = pol.Workspace()
+    old = pol.rollout(params, features, mask, workspace=workspace)
+    new = pol.rollout(params, features, mask, workspace=workspace)
+    seed = np.ones(new.actions.shape)
+    uses = (lambda r: pol.reverse_sweep(r, seed), lambda r: r.activations, lambda r: r.path(0))
+    for use in uses:
+        with pytest.raises(ValueError, match="workspace"):
+            use(old)
+        use(new)
+    workspace.release()
+    for use in uses:
+        with pytest.raises(ValueError, match="workspace"):
+            use(new)
+    with pytest.raises(ValueError, match="forward-only"):
+        pol.rollout(params, features, mask, record=False, workspace=workspace)
+    with pytest.raises(IndexError):
+        pol.rollout(params, features, mask).path(features.shape[0])
+
+
+def test_a_reused_workspace_allocates_almost_nothing():
+    # The default width and the desk's 63 steps: the caches dwarf the
+    # actions and the per-call copies of the gate weights.
+    config = pol.PolicyConfig(action_dim=3)
+    rng = np.random.default_rng(19)
+    params = pol.init_params(config, rng)
+    features, mask, _, _ = _random_problem(rng, config, n=128, n_steps=63)
+    workspace = pol.Workspace()
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            pol.rollout(params, features, mask, workspace=workspace)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    first = peak_bytes()
+    assert peak_bytes() < 0.01 * first
 
 
 def test_tape_is_freed_without_the_cyclic_collector():
