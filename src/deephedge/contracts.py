@@ -120,33 +120,33 @@ def availability_mask(grid: GridSpec, n_steps: int) -> np.ndarray:
     return mask
 
 
-def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized instrument returns over a PathSet.
 
     ``pricer`` is the grid's :class:`~deephedge.market.CachedGridPricer`.
     One all-contract call prices every grid option at every live step
     from one shared Chebyshev basis per variance, writing the unit-spot
-    prices straight into the premium array: the basis is built once, not
-    once per contract, and no (n, T, C) temporary sits beside premiums
-    and returns. Premiums then scale the unit-spot price by the current
+    prices straight into the returns array: the basis is built once, not
+    once per contract, and no premium array or (n, T, C) temporary sits
+    beside the returns. Each live entry then becomes payoff minus premium
+    in place, the premium being the unit-spot price times the current
     spot (the Heston price is homogeneous of degree one in spot and
     strike), contract by contract over slabs of paths, and entries past a
     contract's last tradable step are reset to exactly zero. Returns
-    (returns, premiums, mask) of shapes (n, T, d), (n, T, d), (T, d).
+    (returns, mask) of shapes (n, T, d) and (T, d).
     """
     spot, variance = paths.spot, paths.variance
     n, n_steps = spot.shape[0], spot.shape[1] - 1
     mask = availability_mask(grid, n_steps)
     returns = np.zeros((n, n_steps, grid.d))
-    premiums = np.zeros((n, n_steps, grid.d))
     returns[:, :, 0] = spot[:, [n_steps]] - spot[:, :n_steps]
     live_steps = mask[:, 1:].sum(axis=0).astype(int)
     max_live = int(live_steps.max(initial=0))
     pricer.unit_prices(variance[:, :max_live],
                        [(o.tau_steps, o.log_moneyness, o.is_call) for o in grid.entries],
-                       out=premiums[:, :max_live, 1:])
+                       out=returns[:, :max_live, 1:])
     # One contract fills a strided column, touching a cache line per entry.
-    # Slabs of paths of about 1 MB per array keep those lines cached from
+    # Slabs of paths of about 1 MB of returns keep those lines cached from
     # one contract to the next.
     slab = max(1, (1 << 20) // (8 * n_steps * grid.d))
     for r0 in range(0, n, slab):
@@ -154,17 +154,17 @@ def grid_returns(paths, grid: GridSpec, pricer) -> tuple[np.ndarray, np.ndarray,
         for i, opt in enumerate(grid.entries):
             live = int(live_steps[i])
             x_t = spot[rows, :live]
-            prem = premiums[rows, :live, i + 1]
+            prem = returns[rows, :live, i + 1]
             prem *= x_t
-            premiums[rows, live:max_live, i + 1] = 0.0
+            returns[rows, live:max_live, i + 1] = 0.0
             strike = x_t * np.exp(opt.log_moneyness)
             x_at_maturity = spot[rows, opt.tau_steps:opt.tau_steps + live]
             if opt.is_call:
                 payoff = np.maximum(x_at_maturity - strike, 0.0)
             else:
                 payoff = np.maximum(strike - x_at_maturity, 0.0)
-            returns[rows, :live, i + 1] = payoff - prem
-    return returns, premiums, mask
+            np.subtract(payoff, prem, out=prem)
+    return returns, mask
 
 
 def cliquet_payoff_batch(spot: np.ndarray, spec: CliquetSpec) -> np.ndarray:

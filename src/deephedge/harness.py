@@ -245,6 +245,11 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
 
 @dataclass
 class Dataset:
+    """One role's paths and what the policy and the objective read of them.
+
+    ``premiums`` is always None: no premium array is built, and a premium
+    is recovered as payoff minus return where a check needs it."""
+
     role: str
     paths: mk.PathSet
     features: np.ndarray   # (n, T, 6)
@@ -276,7 +281,7 @@ def make_cached_pricer(cfg: ExperimentConfig, v_max: float) -> mk.CachedGridPric
 def build_datasets(cfg: ExperimentConfig, roles=("train", "val")) -> dict[str, Dataset]:
     """Simulate every role's paths on its own stream, fit one grid pricer
     over all their variances, then derive returns, features and payoffs.
-    Only the test set keeps its premiums."""
+    No role keeps premiums: they are priced into the returns in place."""
     for role in roles:
         if role not in _ROLE_STREAMS:
             raise ConfigError(f"unknown dataset role '{role}'")
@@ -289,12 +294,11 @@ def build_datasets(cfg: ExperimentConfig, roles=("train", "val")) -> dict[str, D
     pricer = make_cached_pricer(cfg, v_max)
     datasets = {}
     for role, paths in path_sets.items():
-        returns, premiums, mask = ct.grid_returns(paths, cfg.grid, pricer)
+        returns, mask = ct.grid_returns(paths, cfg.grid, pricer)
         features = ct.feature_tensor(paths, cfg.cliquet)
         payoff = ct.cliquet_payoff_batch(paths.spot, cfg.cliquet)
         datasets[role] = Dataset(role=role, paths=paths, features=features, returns=returns,
-                                 premiums=premiums if role == "test" else None,
-                                 mask=mask, payoff=payoff)
+                                 premiums=None, mask=mask, payoff=payoff)
     return datasets
 
 
@@ -379,7 +383,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     model from the batch's layer inputs and one pseudo-path drawn from the
     batch, read from the batch's caches, and the optimizer steps on the
     batch gradient. The run records every batch into one
-    ``policy.Workspace``, so the caches (about 317 MB at a batch of 512
+    ``policy.Workspace``, so the caches (about 275 MB at a batch of 512
     and 63 steps) are allocated once, not per iteration; it drops them
     before the gradient-variance probe, whose unroll then takes their
     place, and the next iteration allocates them again.

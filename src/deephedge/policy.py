@@ -105,14 +105,17 @@ class _Caches:
     features, columns). A recorded unroll keeps step t in slot t, and the
     recurrent values it hands to step t + 1 (the action, each cell's h and
     c) in slot t + 1 of ``x_in``, ``aug`` and ``c``, so only those three
-    have a slot T. A forward-only unroll has one time slot, overwritten
-    every step, and its blocks share one block slot for r, the gates,
-    tanh(c) and the residual stream after each block, so its buffers stay
-    in cache."""
+    have a slot T. The residual stream has no time slot: it is the
+    embedding of ``x_in[t]`` plus the blocks' h in ``aug[t + 1]``, so
+    :meth:`stream` rebuilds a step's stream exactly, and cheaply, where
+    the sweep needs it. A forward-only unroll has one time slot,
+    overwritten every step, and its blocks share one block slot for r,
+    the gates, tanh(c) and the residual stream after each block, so its
+    buffers stay in cache."""
 
     rows: int
     x_in: np.ndarray    # (T + 1, f + d + 1, cols): [features; u_prev; 1], the embedding's input
-    res: np.ndarray     # (T, B + 1, H + 1, cols): [residual stream; 1] into each block and the head
+    res: np.ndarray     # (B + 1, H + 1, cols): [residual stream; 1] into each block and the head
     r: np.ndarray       # (T, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
     aug: np.ndarray     # (T + 1, B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input
     gates: np.ndarray   # (T, B, 4H, cols): sigmoid(i, f, o), then tanh(g)
@@ -128,7 +131,7 @@ class _Caches:
         steps, carried, blocks = (n_steps, n_steps + 1, n_blocks) if record else (1, 1, 1)
         caches = cls(rows=rows,
                      x_in=np.empty((carried, config.n_features + d + 1, cols)),
-                     res=np.empty((steps, blocks + 1, h_dim + 1, cols)),
+                     res=np.empty((blocks + 1, h_dim + 1, cols)),
                      r=np.empty((steps, blocks, cols)),
                      aug=np.empty((carried, n_blocks, 2 * h_dim + 1, cols)),
                      gates=np.empty((steps, blocks, 4 * h_dim, cols)),
@@ -152,13 +155,28 @@ class _Caches:
         for ones in (self.x_in, self.res, self.aug):
             ones[..., -1, :] = 1.0
 
-    def layer_inputs(self) -> dict[str, np.ndarray]:
-        """Each Kronecker block's bias-augmented input, (T, in + 1, rows)."""
+    def stream(self, embed: np.ndarray, t: int) -> np.ndarray:
+        """Step ``t``'s residual stream, rebuilt into ``res`` with the
+        forward's own arithmetic (the embedding's matrix product, then each
+        block's h added in turn), so bit for bit what the forward built."""
+        h_dim = self.res.shape[1] - 1
+        np.matmul(embed, self.x_in[t], out=self.res[0, :h_dim])
+        for b in range(self.res.shape[0] - 1):
+            np.add(self.res[b, :h_dim], self.aug[t + 1, b, h_dim:2 * h_dim],
+                   out=self.res[b + 1, :h_dim])
+        return self.res
+
+    def layer_inputs(self, embed: np.ndarray) -> dict[str, np.ndarray]:
+        """Each Kronecker block's bias-augmented input, (T, in + 1, rows):
+        views of the caches but for the head's, rebuilt from the stream."""
         rows, n_steps, n_blocks = self.rows, self.e.shape[0], self.aug.shape[1]
         out = {"embed": self.x_in[:n_steps, :, :rows]}
         for b in range(n_blocks):
             out[f"block{b}.lstm"] = self.aug[:n_steps, b, :, :rows]
-        out["head"] = self.res[:n_steps, n_blocks, :, :rows]
+        head = np.empty((n_steps,) + self.res.shape[1:])
+        for t in range(n_steps):
+            head[t] = self.stream(embed, t)[-1]
+        out["head"] = head[..., :rows]
         return out
 
     def column(self, j: int) -> "_Caches":
@@ -184,11 +202,12 @@ class Workspace:
     recorded into it before: :func:`reverse_sweep`, ``activations`` and
     ``path`` refuse them. The workspace holds nothing between unrolls that
     an unroll reads: each one resets what its forward reads before it
-    writes.
+    writes, and writes its gate weights into ``cells``.
     """
 
     def __init__(self):
         self._caches: list[_Caches] = []
+        self.cells: list[np.ndarray] = []
         self._shape: tuple | None = None
         self.generation = 0
 
@@ -202,12 +221,13 @@ class Workspace:
         self.release()   # free the old caches before allocating their successors
         self._caches = [_Caches.allocate(config, n_steps, min(ROW_BLOCK, n - r0), record=True)
                         for r0 in range(0, n, ROW_BLOCK)]
+        self.cells = _gate_buffers(config)
         self._shape = (config, n_steps, n)
         return self._caches
 
     def release(self) -> None:
         """Drop the buffers, invalidating the last result recorded into them."""
-        self._caches, self._shape = [], None
+        self._caches, self.cells, self._shape = [], [], None
         self.generation += 1
 
 
@@ -235,8 +255,10 @@ class RolloutResult:
     @property
     def activations(self) -> dict[str, list[np.ndarray]]:
         """Per Kronecker block, its per-step (n, in + 1) inputs: views of
-        the caches, copied only to join row blocks."""
-        parts = [c.layer_inputs() for c in self.recorded()]
+        the caches, copied only to join row blocks, but for the head's,
+        rebuilt from each step's residual stream."""
+        embed = self.params.values["embed"]
+        parts = [c.layer_inputs(embed) for c in self.recorded()]
         return {name: _per_step([p[name] for p in parts]) for name in parts[0]}
 
     def path(self, i: int) -> "RolloutResult":
@@ -257,6 +279,12 @@ def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
     if len(blocks) == 1:
         return [a.T for a in blocks[0]]
     return [np.concatenate([a[t].T for a in blocks]) for t in range(blocks[0].shape[0])]
+
+
+def _gate_buffers(config: PolicyConfig) -> list[np.ndarray]:
+    """One (4H, 2H + 1) buffer per cell for :func:`_forward`'s gate weights."""
+    return [np.empty((4 * config.hidden, 2 * config.hidden + 1))
+            for _ in range(config.n_blocks)]
 
 
 def _quarters(a: np.ndarray, h_dim: int) -> tuple[np.ndarray, ...]:
@@ -285,17 +313,17 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     if not record:
         if workspace is not None:
             raise ValueError("a forward-only unroll records nothing into a workspace")
-        return RolloutResult(params=params, mask=mask,
-                             actions=_forward(params, features, mask, None), caches=[])
+        actions = _forward(params, features, mask, None, _gate_buffers(config))
+        return RolloutResult(params=params, mask=mask, actions=actions, caches=[])
     workspace = workspace or Workspace()
     caches = workspace.caches(config, n_steps, n)
-    actions = _forward(params, features, mask, caches)
+    actions = _forward(params, features, mask, caches, workspace.cells)
     return RolloutResult(params=params, mask=mask, actions=actions, caches=caches,
                          workspace=workspace, generation=workspace.generation)
 
 
 def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
-             caches: list[_Caches] | None) -> np.ndarray:
+             caches: list[_Caches] | None, cells: list[np.ndarray]) -> np.ndarray:
     """The policy's forward arithmetic, fused and feature-major; returns
     the (n, T, d) actions, recording each row block into ``caches`` when
     given and running forward-only when None.
@@ -304,15 +332,17 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     to whole groups of ``COLUMN_GROUP``, so a path's arithmetic does not
     depend on where it sits. Each layer is one matrix product written in
     place into its cache slot. The sigmoid gates use (tanh(z / 2) + 1) / 2
-    with the (exact) halving folded into their weight rows, so one tanh
-    covers all four gates.
+    with the (exact) halving folded into their weight rows, written into
+    ``cells``, so one tanh covers all four gates.
     """
     config, v = params.config, params.values
     h_dim, d, n_feat = config.hidden, config.action_dim, config.n_features
     n, n_steps, _ = features.shape
     gains = [v[f"block{b}.gain"].reshape(-1, 1) for b in range(config.n_blocks)]
-    halve = np.repeat([0.5, 1.0], [3 * h_dim, h_dim])[:, None]
-    cells = [v[f"block{b}.lstm"] * halve for b in range(config.n_blocks)]
+    for b, cell in enumerate(cells):
+        w = v[f"block{b}.lstm"]
+        np.multiply(w[:3 * h_dim], 0.5, out=cell[:3 * h_dim])
+        cell[3 * h_dim:] = w[3 * h_dim:]
     record = caches is not None
     actions = np.empty((n, n_steps, d))
     for k, r0 in enumerate(range(0, n, ROW_BLOCK)):
@@ -322,7 +352,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
             now, nxt = (t, t + 1) if record else (0, 0)
             x_in = cache.x_in[now]
             x_in[:n_feat, :rows] = features[r0:r0 + rows, t].T
-            xs = cache.res[now, 0, :h_dim]
+            xs = cache.res[0, :h_dim]
             np.matmul(v["embed"], x_in, out=xs)
             for b, (w, gain) in enumerate(zip(cells, gains)):
                 kb = b if record else 0
@@ -346,10 +376,10 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
                 np.tanh(c_new, out=tanh_c)
                 h_new = cache.aug[nxt, b, h_dim:2 * h_dim]
                 np.multiply(o_g, tanh_c, out=h_new)
-                xs_next = cache.res[now, kb + 1, :h_dim]
+                xs_next = cache.res[kb + 1, :h_dim]
                 np.add(xs, h_new, out=xs_next)   # residual: input plus cell output
                 xs = xs_next
-            pre_u = v["head"] @ cache.res[now, -1]   # symexp, then the mask
+            pre_u = v["head"] @ cache.res[-1]   # symexp, then the mask
             e, u = cache.e[now], cache.x_in[nxt, n_feat:n_feat + d]
             with np.errstate(over="ignore"):
                 np.exp(np.abs(pre_u), out=e)
@@ -412,7 +442,8 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                 g_u += du_next
                 g_u *= result.mask[t][:, None]
                 g_u *= cache.e[t]
-                grads["head"] += g_u[:, :rows] @ cache.res[t, -1, :, :rows].T
+                res = cache.stream(v["embed"], t)
+                grads["head"] += g_u[:, :rows] @ res[-1, :, :rows].T
                 np.matmul(head_in, g_u, out=dx)
                 for b in reversed(range(n_blocks)):
                     gates, d_pre, dc_b = cache.gates[t, b], g_cell[k, b], d_c[b]
@@ -443,7 +474,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                     grads[lstm[b]] += d_pre[:, :rows] @ cache.aug[t, b, :, :rows].T
                     np.matmul(w_in[b], d_pre, out=d_aug[b])
                     # RMSNorm: normed = x r gain with r = 1 / sqrt(mean(x^2) + eps)
-                    xs, r, d_norm = cache.res[t, b, :h_dim], cache.r[t, b], d_aug[b, :h_dim]
+                    xs, r, d_norm = res[b, :h_dim], cache.r[t, b], d_aug[b, :h_dim]
                     np.multiply(xs, r, out=tmp)
                     tmp *= d_norm
                     gain_grads[b] += tmp[:, :rows].sum(axis=1)

@@ -36,6 +36,28 @@ def worker(monkeypatch):
     sys.modules.pop("worker", None)
 
 
+@pytest.fixture
+def checks(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    yield checks
+    sys.modules.pop("checks", None)
+
+
+def test_data_invariants_check_a_dataset_without_premiums(checks):
+    # The check rebuilds each premium as payoff minus return, so its
+    # no-arbitrage bounds still hold every option column.
+    cfg = harness.build_config(dict(TRACED_TOY, data={"n_test": 32}))
+    ds = harness.build_datasets(cfg, ("test",))["test"]
+    assert ds.premiums is None
+    tol = 10 * market.HestonPricer.tol   # as perfbench/worker.py passes it
+    check = checks.data_invariants(cfg, ds, tol)
+    assert check.ok, check.detail
+    assert check.name == "data_invariants[test]"
+    ds.returns[:, 0, 1] += ds.paths.spot[:, 0]   # a premium below zero fails it
+    assert not checks.data_invariants(cfg, ds, tol).ok
+
+
 def test_every_traced_target_resolves(tracing):
     tracer = tracing.Tracer()
     tracer.install()

@@ -106,15 +106,27 @@ def test_returns_against_bruteforce_recomputation(pricer):
         assert premiums[0, i + 1] == prem
 
 
+def _payoffs(spot, grid, mask):
+    """One path's option payoffs at maturity, (T, d), zero where masked."""
+    payoff = np.zeros(mask.shape)
+    for i, opt in enumerate(grid.entries):
+        live = int(mask[:, i + 1].sum())
+        strike = spot[:live] * np.exp(opt.log_moneyness)
+        x_mat = spot[opt.tau_steps:opt.tau_steps + live]
+        payoff[:live, i + 1] = np.maximum(x_mat - strike if opt.is_call else strike - x_mat, 0.0)
+    return payoff
+
+
 def test_grid_returns_matches_per_path_loop(small_paths, desk_cache):
     grid = ct.desk_grid()
-    batched_r, batched_p, mask = ct.grid_returns(small_paths, grid, desk_cache)
+    batched_r, mask = ct.grid_returns(small_paths, grid, desk_cache)
     for p in (0, 7, 31):
         r, prem, m = instrument_returns(
             small_paths.spot[p], small_paths.variance[p], grid, desk_cache)
         assert np.array_equal(m, mask)
         assert np.allclose(batched_r[p], r, atol=1e-14)
-        assert np.allclose(batched_p[p], prem, atol=1e-14)
+        assert np.allclose(batched_r[p, :, 1:], (_payoffs(small_paths.spot[p], grid, mask)
+                                                 - prem)[:, 1:], atol=1e-14)
 
 
 def test_grid_returns_matches_per_path_loop_across_path_slabs(pricer):
@@ -124,20 +136,19 @@ def test_grid_returns_matches_per_path_loop_across_path_slabs(pricer):
     v_max = float(paths.variance.max()) * 1.02 + 1e-6
     cache = CachedGridPricer(pricer, [(o.tau_steps, o.log_moneyness) for o in grid.entries],
                              v_max)
-    batched_r, batched_p, mask = ct.grid_returns(paths, grid, cache)
+    batched_r, mask = ct.grid_returns(paths, grid, cache)
     for p in (49, 50, 100):
         r, prem, _ = instrument_returns(paths.spot[p], paths.variance[p], grid, cache)
         assert np.allclose(batched_r[p], r, atol=1e-14)
-        assert np.allclose(batched_p[p], prem, atol=1e-14)
+        assert np.allclose(batched_r[p, :, 1:], (_payoffs(paths.spot[p], grid, mask)
+                                                 - prem)[:, 1:], atol=1e-14)
     assert np.all(batched_r[:, mask == 0.0] == 0.0)
-    assert np.all(batched_p[:, mask == 0.0] == 0.0)
 
 
 def test_masked_returns_are_zero(small_paths, desk_cache):
     grid = ct.desk_grid()
-    returns, premiums, mask = ct.grid_returns(small_paths, grid, desk_cache)
+    returns, mask = ct.grid_returns(small_paths, grid, desk_cache)
     assert np.all(returns[:, mask == 0.0] == 0.0)
-    assert np.all(premiums[:, mask == 0.0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

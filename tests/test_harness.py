@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,26 @@ def test_unknown_dataset_role_raises_config_error():
     cfg = harness.build_config(copy.deepcopy(TOY))
     with pytest.raises(harness.ConfigError, match="bogus"):
         harness.build_datasets(cfg, ("train", "bogus"))
+
+
+def test_a_dataset_build_peaks_at_what_it_keeps():
+    # Returns are priced in place, so no (n, T, d) premium array (6.2 MB
+    # here) sits beside them. What the build holds beyond the returns,
+    # features and paths it keeps is a fixed working set: the pricer's
+    # 4 MB Chebyshev basis block, then the feature temporaries.
+    raw = _with("data.n_test", 4096)
+    raw["grid"] = {10: [0.99, 1.0, 1.01], 20: [0.97, 0.99, 1.0, 1.01, 1.03]}
+    cfg = harness.build_config(raw)
+    harness.build_datasets(cfg, ("test",))   # fills the quadrature rules' cache
+    tracemalloc.start()
+    try:
+        ds = harness.build_datasets(cfg, ("test",))["test"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.premiums is None
+    kept = sum(a.nbytes for a in (ds.returns, ds.features, ds.paths.spot, ds.paths.variance))
+    assert peak < kept + 4 * 2 ** 20 < kept + ds.returns.nbytes
 
 
 def test_load_config_reads_a_yaml_file(tmp_path):

@@ -356,8 +356,10 @@ def test_a_reused_workspace_refuses_the_results_it_held():
 
 
 def test_a_reused_workspace_allocates_almost_nothing():
-    # The default width and the desk's 63 steps: the caches dwarf the
-    # actions and the per-call copies of the gate weights.
+    # The default width and the desk's 63 steps: the gate weights go into
+    # the workspace's buffers too, so what a reused unroll allocates is its
+    # actions plus one step's temporaries, the largest of them the (H, cols)
+    # buffer, 32 KB here, that a broadcasting ufunc takes.
     config = pol.PolicyConfig(action_dim=3)
     rng = np.random.default_rng(19)
     params = pol.init_params(config, rng)
@@ -373,7 +375,34 @@ def test_a_reused_workspace_allocates_almost_nothing():
             tracemalloc.stop()
 
     first = peak_bytes()
-    assert peak_bytes() < 0.01 * first
+    actions = 128 * 63 * config.action_dim * 8
+    assert actions < peak_bytes() < actions + 64 * 1024 < 0.01 * first
+
+
+def test_a_recorded_unroll_keeps_no_residual_stream():
+    # Every buffer at exactly its field's size: the residual stream has one
+    # slot per block, not one per step, and is rebuilt where it is read.
+    rng = np.random.default_rng(20)
+    params = pol.init_params(ORACLE, rng)
+    n, n_steps = 13, 7
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=n_steps)
+    workspace = pol.Workspace()
+    result = pol.rollout(params, features, mask, workspace=workspace)
+    h, d, f, b = ORACLE.hidden, ORACLE.action_dim, ORACLE.n_features, ORACLE.n_blocks
+    per_column = {"x_in": (n_steps + 1) * (f + d + 1), "res": (b + 1) * (h + 1),
+                  "r": n_steps * b, "aug": (n_steps + 1) * b * (2 * h + 1),
+                  "gates": n_steps * b * 4 * h, "c": (n_steps + 1) * b * h,
+                  "tanh_c": n_steps * b * h, "e": n_steps * d}
+    (cache,) = workspace._caches
+    sizes = {fl.name: getattr(cache, fl.name).nbytes for fl in fields(cache) if fl.name != "rows"}
+    assert sizes == {name: 8 * k * 16 for name, k in per_column.items()}   # 13 paths, 16 columns
+    assert [w.shape for w in workspace.cells] == [(4 * h, 2 * h + 1)] * b
+    # the head's inputs, rebuilt from the stream, are the tape's
+    tape = tape_rollout(params, features, mask, capture=True)
+    for t, want in enumerate(tape.channels["head"].activations):
+        got = result.activations["head"][t]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
 
 
 def test_tape_is_freed_without_the_cyclic_collector():
