@@ -2,7 +2,7 @@
 
 The package couples:
 
-* ``diffcore``   reverse-mode autodiff over dense float64 matrices,
+* ``diffcore``   the reference tape the tests check ``policy.reverse_sweep`` against,
 * ``market``     Heston simulation and semi-analytic vanilla pricing,
 * ``contracts``  floating-grid instruments, cliquet payoff, hedging objective,
 * ``policy``     the recurrent hedging network,

@@ -1,12 +1,15 @@
 """The names the benchmark in ``perfbench/`` imports or wraps still exist.
 
 ``perfbench/tracing.py`` wraps package functions by name and skips any that
-are gone, so a rename would silently drop a traced layer; only the slow
-smoke test of the benchmark would notice. A call that goes round its
-wrapped name is just as silent, so a traced toy run checks that each layer
-records time, and a config key the package no longer reads would stop
-every workload, so each config ``perfbench/worker.py`` sends is built. This
-reads ``perfbench/`` and changes nothing there.
+are gone, so a rename would silently drop a traced layer; here it fails at
+once, before the benchmark's own smoke tests (``perfbench/test_smoke.py``,
+also collected by the test run) start a workload. A call that goes round
+its wrapped name is just as silent, so traced toy runs check that each
+layer records time. No workload differentiates the tape, so one traced
+backward on it checks that the tape still holds what the tracer reads. A
+config key the package no longer reads would stop every workload, so each
+config ``perfbench/worker.py`` sends is built. This reads ``perfbench/``
+and changes nothing there.
 """
 
 import sys
@@ -15,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deephedge import diffcore, harness, market, optim
+from deephedge import contracts, diffcore, harness, market, optim, policy
+from oracles import tape_rollout
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,6 +71,30 @@ def test_every_traced_target_resolves(tracing):
     finally:
         tracer.uninstall()
     assert not hasattr(diffcore.backward, "__wrapped__")
+
+
+def test_a_traced_tape_backward_reports_its_size_and_layers(tracing):
+    # The tracer reads the seed's tape and the hooks' captures at backward
+    # entry; no benchmark run calls a traced backward, so this is its check.
+    config = policy.PolicyConfig(action_dim=3, hidden=4, n_blocks=2)
+    rng = np.random.default_rng(3)
+    params = policy.init_params(config, rng)
+    n, n_steps = 8, 5
+    features = rng.normal(size=(n, n_steps, config.n_features))
+    returns = rng.normal(size=(n, n_steps, config.action_dim)) * 0.05
+    with tracing.Tracer() as tracer:
+        tape = tape_rollout(params, features, np.ones((n_steps, config.action_dim)),
+                            capture=True)
+        loss = contracts.batch_objective(tape.action_nodes, returns, np.zeros(n), 10.0,
+                                         contracts.CostSpec())
+        diffcore.backward(loss, hooks=tape.channels.values())
+    metrics = tracer.metrics()
+    assert metrics["diffcore.backward.calls"] == 1
+    assert metrics["diffcore.backward.nodes"] == len(tape.tape.nodes)
+    assert metrics["diffcore.tape_peak_mb"] > 0.0
+    for layer in ("diffcore.lstm_cell", "diffcore.affine", "diffcore.glue"):
+        assert metrics[layer + ".s"] > 0.0, layer
+    assert tracer.root_mismatch() < 1e-9
 
 
 def test_names_the_benchmark_uses_resolve():

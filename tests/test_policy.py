@@ -1,6 +1,4 @@
-import gc
 import tracemalloc
-import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -403,26 +401,6 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
         got = result.activations["head"][t]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
-
-
-def test_tape_is_freed_without_the_cyclic_collector():
-    # Nodes point at their tape; after backward the tape must let go of its
-    # nodes, so reference counting alone frees the unroll.
-    rng = np.random.default_rng(10)
-    params = pol.init_params(TINY, rng)
-    features, mask, returns, payoff = _random_problem(rng, TINY)
-    gc.disable()
-    try:
-        result = tape_rollout(params, features, mask)
-        mid = weakref.ref(result.tape.nodes[len(result.tape.nodes) // 2].value)
-        loss = ct.batch_objective(result.action_nodes, returns, payoff, 1000.0, ct.CostSpec())
-        dc.backward(loss)
-        with pytest.raises(dc.DiffError, match="already differentiated"):
-            dc.backward(loss)
-        del result, loss
-        assert mid() is None
-    finally:
-        gc.enable()
 
 
 def test_rollout_validates_shapes():
