@@ -16,7 +16,10 @@ The policy's matrix products are small, so threaded BLAS loses more to
 synchronization than it gains. The BLAS thread count cannot be changed
 once numpy has loaded; set it in the environment before start-up, e.g.
 ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does for each of its
-worker processes.
+worker processes. An unroll of several row blocks (evaluation,
+validation) runs them on one thread per usable CPU instead, each with its
+own single-threaded BLAS calls, and its results do not depend on that
+count; its wall time does, so ``manifest.json`` records the count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ import json
 import logging
 import math
 import numbers
+import os
+import platform
 import time
 import typing
 from dataclasses import asdict, dataclass, fields
@@ -448,6 +453,12 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         "datasets": {role: ds.content_hash() for role, ds in datasets.items()},
         "resumed_from_iteration": start,
         "pretrain_val_loss": baseline,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "usable_cpus": pol._usable_cpus(),
+            **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        },
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

@@ -27,11 +27,20 @@ weight gradient is the sum over steps of pre-activation gradients times
 layer inputs, the identity the Kronecker factors rest on. The generic tape of
 :mod:`deephedge.diffcore` is the reference the tests check the sweep
 against.
+
+An unroll of several row blocks runs them on one thread per usable CPU:
+the blocks share nothing they write, and numpy releases the GIL in its
+matrix products and ufunc loops. A block's arithmetic is its own, so the
+results do not depend on the thread count. The sweep stays serial: it
+sums each weight gradient over the row blocks in order, and threads
+would change the order of that sum.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -281,6 +290,13 @@ def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
     return [np.concatenate([a[t].T for a in blocks]) for t in range(blocks[0].shape[0])]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _gate_buffers(config: PolicyConfig) -> list[np.ndarray]:
     """One (4H, 2H + 1) buffer per cell for :func:`_forward`'s gate weights."""
     return [np.empty((4 * config.hidden, 2 * config.hidden + 1))
@@ -302,7 +318,8 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     results recorded into it before) and into fresh buffers otherwise;
     ``record=False`` is the forward-only pass of evaluation and
     validation. Either raises ``DiffError`` naming the first step with a
-    non-finite action.
+    non-finite action. Row blocks run on one thread per usable CPU, with
+    results that do not depend on that count; see :func:`_forward`.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -334,6 +351,15 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     place into its cache slot. The sigmoid gates use (tanh(z / 2) + 1) / 2
     with the (exact) halving folded into their weight rows, written into
     ``cells``, so one tanh covers all four gates.
+
+    The row blocks run side by side, ``min(blocks, usable CPUs)`` threads
+    of a pool that lives only for this call, or inline on the calling
+    thread when that is one. Once ``cells`` is written, a block reads only
+    shared inputs and writes only its own cache and its own rows of the
+    actions, so the result is the serial loop's bit for bit. The blocks'
+    results are collected in order, so an error is the lowest failing
+    block's, as in the serial loop. :func:`reverse_sweep` stays serial: it
+    adds the blocks' weight gradients in block order.
     """
     config, v = params.config, params.values
     h_dim, d, n_feat = config.hidden, config.action_dim, config.n_features
@@ -345,7 +371,8 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         cell[3 * h_dim:] = w[3 * h_dim:]
     record = caches is not None
     actions = np.empty((n, n_steps, d))
-    for k, r0 in enumerate(range(0, n, ROW_BLOCK)):
+
+    def unroll_block(k: int, r0: int) -> None:
         rows = min(ROW_BLOCK, n - r0)
         cache = caches[k] if record else _Caches.allocate(config, n_steps, rows, record=False)
         for t in range(n_steps):
@@ -388,6 +415,15 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
             if not np.isfinite(u[:, :rows].sum()):
                 raise dc.DiffError(f"non-finite action at step {t}")
             actions[r0:r0 + rows, t] = u[:, :rows].T
+
+    starts = range(0, n, ROW_BLOCK)
+    workers = min(len(starts), _usable_cpus())
+    if workers < 2:
+        for k, r0 in enumerate(starts):
+            unroll_block(k, r0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(unroll_block, range(len(starts)), starts))   # raises the first block's error
     return actions
 
 

@@ -281,6 +281,13 @@ def test_train_writes_metrics_and_a_matching_checkpoint(tmp_path, toy_datasets, 
     init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
     assert _pretrain_val_loss(result) == harness.dataset_objective(
         init, toy_datasets["val"], cfg.risk_aversion, cfg.costs)
+    # what the wall times depend on
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    environment = manifest["environment"]
+    assert environment.keys() == {"python", "numpy", "usable_cpus",
+                                  "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    assert environment["numpy"] == np.__version__
+    assert environment["usable_cpus"] == pol._usable_cpus() >= 1
 
 
 def _assert_initialization(cfg, checkpoint_path):

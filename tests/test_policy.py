@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -401,6 +404,66 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
         got = result.activations["head"][t]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+
+def _unroll_on(monkeypatch, cpus, params, features, mask, s):
+    """Forward-only actions, recorded actions and sweep gradients with
+    ``cpus`` usable CPUs, and the thread count of each pool the unrolls made."""
+    pools = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pol, "ThreadPoolExecutor", Pool)
+    forward_only = pol.rollout(params, features, mask, record=False).actions
+    recorded = pol.rollout(params, features, mask)
+    grads, _ = pol.reverse_sweep(recorded, s)
+    return forward_only, recorded.actions, grads, pools
+
+
+def test_threaded_row_blocks_give_the_serial_result(monkeypatch):
+    # Bit for bit: four row blocks, the last one short, inline on one CPU
+    # and on a pool of four threads switching as often as they can.
+    rng = np.random.default_rng(21)
+    params = pol.init_params(ORACLE, rng)
+    n = 3 * pol.ROW_BLOCK + 5
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+    s = rng.normal(size=(n, 7, ORACLE.action_dim))
+    serial = _unroll_on(monkeypatch, 1, params, features, mask, s)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _unroll_on(monkeypatch, 4, params, features, mask, s)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (serial[3], threaded[3]) == ([], [4, 4])
+    assert np.array_equal(threaded[0], serial[0])
+    assert np.array_equal(threaded[1], serial[1])
+    assert threaded[2].keys() == serial[2].keys()
+    for name, g in serial[2].items():
+        assert np.array_equal(threaded[2][name], g), name
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_threaded_row_blocks_raise_the_first_blocks_error(monkeypatch, record):
+    # Block 2 fails long before block 1, yet the error is block 1's, as in
+    # the serial loop, and no pool thread outlives a call.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
+    rng = np.random.default_rng(22)
+    params = pol.init_params(ORACLE, rng)
+    n = 3 * pol.ROW_BLOCK + 5
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=40)
+    threads = threading.active_count()
+    pol.rollout(params, features, mask, record=record)
+    assert threading.active_count() == threads
+    features[pol.ROW_BLOCK + 7, 30] = np.nan
+    features[2 * pol.ROW_BLOCK + 1, 1] = np.nan
+    with pytest.raises(dc.DiffError, match="^non-finite action at step 30$"):
+        pol.rollout(params, features, mask, record=record)
+    assert threading.active_count() == threads
 
 
 def test_rollout_validates_shapes():
