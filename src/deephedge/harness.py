@@ -16,10 +16,13 @@ The policy's matrix products are small, so threaded BLAS loses more to
 synchronization than it gains. The BLAS thread count cannot be changed
 once numpy has loaded; set it in the environment before start-up, e.g.
 ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does for each of its
-worker processes. An unroll of several row blocks (evaluation,
-validation) runs them on one thread per usable CPU instead, each with its
-own single-threaded BLAS calls, and its results do not depend on that
-count; its wall time does, so ``manifest.json`` records the count.
+worker processes. The policy runs its row blocks on one thread per
+usable CPU instead, each with its own single-threaded BLAS calls: a
+training batch's recorded unroll and its reverse sweep in blocks of 256
+paths (``policy.RECORD_BLOCK``), so a batch of 512 takes two CPUs, and
+validation and evaluation in blocks of 512 (``policy.ROW_BLOCK``). The
+block size, not the CPU count, sets the order of every sum, so results do
+not depend on that count; wall time does, so ``manifest.json`` records it.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ moments and the block reduces to a damped diagonal method.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,23 +200,29 @@ class KfacOptimizer:
         the output factors and D from it, and the eigenbases on their
         cadence."""
         if self.wants_input_stats:
-            self.update_input_stats(result.activations)
+            self.update_input_stats(result.step_inputs())
         grads, step_grads = pseudo_backward(result.path(row), hessian, rng)
         self.update_output_stats(grads, step_grads)
         if self.wants_eigenbasis:
             self.update_eigenbasis()
 
-    def update_input_stats(self, activations: dict[str, list[np.ndarray]]) -> None:
+    def update_input_stats(self, steps: Iterable[dict[str, np.ndarray]]) -> None:
         """EMA of the activation second moment, scaled by sqrt(T) overall,
-        from each block's per-step (batch, in + 1) inputs."""
+        from each Kronecker block's (in + 1, batch) inputs, one step after
+        another (``RolloutResult.step_inputs``), so that no more than a
+        step's inputs need to be copied at a time."""
         beta = self.config.beta_factor
-        for name, block in self.blocks.items():
-            if block.a_cov is None:
-                continue
-            steps = activations[name]
-            contrib = sum(a.T @ a for a in steps) / (steps[0].shape[0] * np.sqrt(len(steps)))
+        sums: dict[str, np.ndarray] = {}
+        n_steps = 0
+        for inputs in steps:
+            for name, x in inputs.items():
+                sums[name] = sums.get(name, 0) + x @ x.T
+            n_steps += 1
+        batch = x.shape[1]
+        for name, total in sums.items():
+            block = self.blocks[name]
             block.a_cov *= beta
-            block.a_cov += (1.0 - beta) * contrib
+            block.a_cov += (1.0 - beta) * (total / (batch * np.sqrt(n_steps)))
 
     def update_output_stats(self, grads: dict[str, np.ndarray],
                             step_grads: dict[str, list[np.ndarray]]) -> None:

@@ -28,18 +28,22 @@ layer inputs, the identity the Kronecker factors rest on. The generic tape of
 :mod:`deephedge.diffcore` is the reference the tests check the sweep
 against.
 
-An unroll of several row blocks runs them on one thread per usable CPU:
-the blocks share nothing they write, and numpy releases the GIL in its
-matrix products and ufunc loops. A block's arithmetic is its own, so the
-results do not depend on the thread count. The sweep stays serial: it
-sums each weight gradient over the row blocks in order, and threads
-would change the order of that sum.
+Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
+training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
+forward-only one (validation, evaluation). An unroll of several row
+blocks, and the sweep of a recorded one, run them on one thread per
+usable CPU: the blocks share nothing they write, and numpy releases the
+GIL in its matrix products and ufunc loops. A block's arithmetic is its
+own, and the sweep adds the blocks' weight gradients in block order on
+the calling thread, so the block size, not the CPU count, sets the order
+of every sum, and the results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -104,7 +108,17 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> PolicyParams:
     return PolicyParams(config=config, values=values)
 
 
-ROW_BLOCK = 512  # paths per block: its (4H, 512) gates fit a core's L2 at H = 32
+# Paths per row block. A forward-only unroll (validation, evaluation,
+# checks) takes ROW_BLOCK: its (4H, 512) gates fit a core's L2 at H = 32,
+# and 256-path blocks made the 4,096-path evaluation 15-20% slower on two
+# threads, with the same actions. A recorded unroll (a training batch, the
+# probe, a pseudo-path) takes RECORD_BLOCK, so a desk batch of 512 is two
+# blocks, unrolled and swept on two cores: a desk iteration took about 20%
+# less, though on one thread two 256-path blocks take 10-25% longer
+# than one 512-path block. The block size, never the CPU count, sets the
+# order of every sum over blocks.
+ROW_BLOCK = 512
+RECORD_BLOCK = 256
 COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in another order
 
 
@@ -175,17 +189,15 @@ class _Caches:
                    out=self.res[b + 1, :h_dim])
         return self.res
 
-    def layer_inputs(self, embed: np.ndarray) -> dict[str, np.ndarray]:
-        """Each Kronecker block's bias-augmented input, (T, in + 1, rows):
-        views of the caches but for the head's, rebuilt from the stream."""
-        rows, n_steps, n_blocks = self.rows, self.e.shape[0], self.aug.shape[1]
-        out = {"embed": self.x_in[:n_steps, :, :rows]}
-        for b in range(n_blocks):
-            out[f"block{b}.lstm"] = self.aug[:n_steps, b, :, :rows]
-        head = np.empty((n_steps,) + self.res.shape[1:])
-        for t in range(n_steps):
-            head[t] = self.stream(embed, t)[-1]
-        out["head"] = head[..., :rows]
+    def step_inputs(self, embed: np.ndarray, t: int) -> dict[str, np.ndarray]:
+        """Each Kronecker block's bias-augmented (in + 1, rows) input at
+        step ``t``: views of the caches but for the head's, rebuilt from the
+        step's stream into an array of its own."""
+        rows = self.rows
+        out = {"embed": self.x_in[t, :, :rows]}
+        for b in range(self.aug.shape[1]):
+            out[f"block{b}.lstm"] = self.aug[t, b, :, :rows]
+        out["head"] = self.stream(embed, t)[-1, :, :rows].copy()
         return out
 
     def column(self, j: int) -> "_Caches":
@@ -228,8 +240,8 @@ class Workspace:
                 cache.reset(config.n_features)
             return self._caches
         self.release()   # free the old caches before allocating their successors
-        self._caches = [_Caches.allocate(config, n_steps, min(ROW_BLOCK, n - r0), record=True)
-                        for r0 in range(0, n, ROW_BLOCK)]
+        self._caches = [_Caches.allocate(config, n_steps, min(RECORD_BLOCK, n - r0), record=True)
+                        for r0 in range(0, n, RECORD_BLOCK)]
         self.cells = _gate_buffers(config)
         self._shape = (config, n_steps, n)
         return self._caches
@@ -261,14 +273,28 @@ class RolloutResult:
             raise ValueError("this unroll's workspace has been unrolled into since")
         return self.caches
 
+    def step_inputs(self) -> Iterator[dict[str, np.ndarray]]:
+        """Step by step, each Kronecker block's (in + 1, n) inputs: one row
+        block's are views of the caches, but for the head's, rebuilt from
+        the step's residual stream; several are joined along the paths, one
+        step at a time, so the matrices are bit for bit the same whatever
+        the row blocks."""
+        embed = self.params.values["embed"]
+        caches = self.recorded()
+        for t in range(caches[0].e.shape[0]):
+            parts = [cache.step_inputs(embed, t) for cache in caches]
+            yield parts[0] if len(parts) == 1 else {
+                name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
+
     @property
     def activations(self) -> dict[str, list[np.ndarray]]:
-        """Per Kronecker block, its per-step (n, in + 1) inputs: views of
-        the caches, copied only to join row blocks, but for the head's,
-        rebuilt from each step's residual stream."""
-        embed = self.params.values["embed"]
-        parts = [c.layer_inputs(embed) for c in self.recorded()]
-        return {name: _per_step([p[name] for p in parts]) for name in parts[0]}
+        """Per Kronecker block, its per-step (n, in + 1) inputs: the
+        transposes of :meth:`step_inputs`, every step's kept at once."""
+        out: dict[str, list[np.ndarray]] = {}
+        for inputs in self.step_inputs():
+            for name, x in inputs.items():
+                out.setdefault(name, []).append(x.T)
+        return out
 
     def path(self, i: int) -> "RolloutResult":
         """Path ``i`` as a one-path recorded unroll, copied out of the
@@ -277,7 +303,7 @@ class RolloutResult:
         in a full group of ``COLUMN_GROUP``, here as in the batch."""
         if not 0 <= i < self.actions.shape[0]:
             raise IndexError(f"path {i} is not in an unroll of {self.actions.shape[0]}")
-        block, j = divmod(i, ROW_BLOCK)
+        block, j = divmod(i, RECORD_BLOCK)
         return RolloutResult(params=self.params, mask=self.mask,
                              actions=self.actions[i:i + 1],
                              caches=[self.recorded()[block].column(j)])
@@ -295,6 +321,19 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _map_blocks(fn: Callable[[int], object], n_blocks: int) -> list:
+    """``[fn(k) for k in range(n_blocks)]``, one call per row block: on a
+    pool of ``min(n_blocks, usable CPUs)`` threads that lives only for this
+    call, or inline on the calling thread when that is one. The results
+    are collected in block order, so an error is the lowest failing
+    block's, as in the serial loop."""
+    workers = min(n_blocks, _usable_cpus())
+    if workers < 2:
+        return [fn(k) for k in range(n_blocks)]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, range(n_blocks)))
 
 
 def _gate_buffers(config: PolicyConfig) -> list[np.ndarray]:
@@ -318,8 +357,9 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     results recorded into it before) and into fresh buffers otherwise;
     ``record=False`` is the forward-only pass of evaluation and
     validation. Either raises ``DiffError`` naming the first step with a
-    non-finite action. Row blocks run on one thread per usable CPU, with
-    results that do not depend on that count; see :func:`_forward`.
+    non-finite action. Row blocks (``RECORD_BLOCK`` paths when recording,
+    ``ROW_BLOCK`` otherwise) run on one thread per usable CPU, with results
+    that do not depend on that count; see :func:`_forward`.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -345,21 +385,18 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     the (n, T, d) actions, recording each row block into ``caches`` when
     given and running forward-only when None.
 
-    Paths run in blocks of ``ROW_BLOCK``, padded with zero-feature columns
-    to whole groups of ``COLUMN_GROUP``, so a path's arithmetic does not
-    depend on where it sits. Each layer is one matrix product written in
+    Paths run in blocks of ``RECORD_BLOCK`` when recording and of
+    ``ROW_BLOCK`` otherwise, padded with zero-feature columns to whole
+    groups of ``COLUMN_GROUP``, so a path's arithmetic does not depend on
+    where it sits, nor on the block size. Each layer is one matrix product written in
     place into its cache slot. The sigmoid gates use (tanh(z / 2) + 1) / 2
     with the (exact) halving folded into their weight rows, written into
     ``cells``, so one tanh covers all four gates.
 
-    The row blocks run side by side, ``min(blocks, usable CPUs)`` threads
-    of a pool that lives only for this call, or inline on the calling
-    thread when that is one. Once ``cells`` is written, a block reads only
-    shared inputs and writes only its own cache and its own rows of the
-    actions, so the result is the serial loop's bit for bit. The blocks'
-    results are collected in order, so an error is the lowest failing
-    block's, as in the serial loop. :func:`reverse_sweep` stays serial: it
-    adds the blocks' weight gradients in block order.
+    The row blocks run side by side through :func:`_map_blocks`. Once
+    ``cells`` is written, a block reads only shared inputs and writes only
+    its own cache and its own rows of the actions, so the result is the
+    serial loop's bit for bit, and an error is the lowest failing block's.
     """
     config, v = params.config, params.values
     h_dim, d, n_feat = config.hidden, config.action_dim, config.n_features
@@ -372,8 +409,11 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     record = caches is not None
     actions = np.empty((n, n_steps, d))
 
-    def unroll_block(k: int, r0: int) -> None:
-        rows = min(ROW_BLOCK, n - r0)
+    block = RECORD_BLOCK if record else ROW_BLOCK
+
+    def unroll_block(k: int) -> None:
+        r0 = k * block
+        rows = min(block, n - r0)
         cache = caches[k] if record else _Caches.allocate(config, n_steps, rows, record=False)
         for t in range(n_steps):
             now, nxt = (t, t + 1) if record else (0, 0)
@@ -416,14 +456,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
                 raise dc.DiffError(f"non-finite action at step {t}")
             actions[r0:r0 + rows, t] = u[:, :rows].T
 
-    starts = range(0, n, ROW_BLOCK)
-    workers = min(len(starts), _usable_cpus())
-    if workers < 2:
-        for k, r0 in enumerate(starts):
-            unroll_block(k, r0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(unroll_block, range(len(starts)), starts))   # raises the first block's error
+    _map_blocks(unroll_block, -(-n // block))
     return actions
 
 
@@ -440,7 +473,12 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
 
     The sweep runs each row block backward through time over its caches,
     column by column as the forward does, so a path's pre-activation
-    gradients do not depend on its batch.
+    gradients do not depend on its batch. The row blocks run side by side,
+    as :func:`_forward`'s do: each sums its own weight gradients over the
+    steps from zero and keeps its own captures, and the calling thread adds
+    the blocks' sums in block order. So the gradients depend on
+    ``RECORD_BLOCK``, never on the CPU count, and a one-block unroll's are
+    its block's own.
     """
     params = result.params
     config, v = params.config, params.values
@@ -450,30 +488,31 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     if du.shape != result.actions.shape:
         raise ValueError(f"seed shape {du.shape} != actions {result.actions.shape}")
     n_steps = du.shape[1]
-    grads = {name: np.zeros_like(value) for name, value in v.items()}
     lstm = [f"block{b}.lstm" for b in range(n_blocks)]
-    gain_grads = [grads[f"block{b}.gain"][0] for b in range(n_blocks)]
     gains = [v[f"block{b}.gain"].reshape(-1, 1) for b in range(n_blocks)]
     w_in = [np.ascontiguousarray(v[name][:, :2 * h_dim].T) for name in lstm]
     head_in = np.ascontiguousarray(v["head"][:, :h_dim].T)
     embed_u = np.ascontiguousarray(v["embed"][:, n_feat:n_feat + d].T)
     slots = n_steps if capture else 1
-    captured = []
-    r0 = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cache in caches:
-            rows, cols = cache.rows, cache.e.shape[-1]
-            # pre-activation gradients: the embedding's, each cell's, the head's
-            g_embed = np.empty((slots, h_dim, cols))
-            g_cell = np.empty((slots, n_blocks, 4 * h_dim, cols))
-            g_head = np.zeros((slots, d, cols))
-            d_aug = np.zeros((n_blocks, 2 * h_dim, cols))   # rows H: carry dL/dh_prev back
-            d_c = np.zeros((n_blocks, h_dim, cols))          # dL/dc, carried back
-            du_next = np.zeros((d, cols))                    # dL/du_prev, carried back
-            dh, tmp, row = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty(cols)
+
+    def sweep_block(k: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]:
+        cache, r0 = caches[k], k * RECORD_BLOCK
+        rows, cols = cache.rows, cache.e.shape[-1]
+        grads = {name: np.zeros_like(value) for name, value in v.items()}
+        gain_grads = [grads[f"block{b}.gain"][0] for b in range(n_blocks)]
+        # pre-activation gradients: the embedding's, each cell's, the head's
+        g_embed = np.empty((slots, h_dim, cols))
+        g_cell = np.empty((slots, n_blocks, 4 * h_dim, cols))
+        g_head = np.zeros((slots, d, cols))
+        d_aug = np.zeros((n_blocks, 2 * h_dim, cols))   # rows H: carry dL/dh_prev back
+        d_c = np.zeros((n_blocks, h_dim, cols))          # dL/dc, carried back
+        du_next = np.zeros((d, cols))                    # dL/du_prev, carried back
+        dh, tmp, row = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty(cols)
+        # numpy's error state is a context variable, which a pool thread does not inherit
+        with np.errstate(over="ignore", invalid="ignore"):
             for t in reversed(range(n_steps)):
-                k = t if capture else 0
-                g_u, dx = g_head[k], g_embed[k]
+                slot = t if capture else 0
+                g_u, dx = g_head[slot], g_embed[slot]
                 g_u[:, :rows] = du[r0:r0 + rows, t].T
                 g_u += du_next
                 g_u *= result.mask[t][:, None]
@@ -482,7 +521,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                 grads["head"] += g_u[:, :rows] @ res[-1, :, :rows].T
                 np.matmul(head_in, g_u, out=dx)
                 for b in reversed(range(n_blocks)):
-                    gates, d_pre, dc_b = cache.gates[t, b], g_cell[k, b], d_c[b]
+                    gates, d_pre, dc_b = cache.gates[t, b], g_cell[slot, b], d_c[b]
                     i_g, f_g, o_g, g_g = _quarters(gates, h_dim)
                     di, df, do, dg = _quarters(d_pre, h_dim)
                     tanh_c = cache.tanh_c[t, b]
@@ -523,14 +562,20 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                     dx -= tmp
                 grads["embed"] += dx[:, :rows] @ cache.x_in[t, :, :rows].T
                 np.matmul(embed_u, dx, out=du_next)
-            if capture:
-                captured.append({"embed": g_embed[..., :rows],
-                                 **{name: g_cell[:, b, :, :rows] for b, name in enumerate(lstm)},
-                                 "head": g_head[..., :rows]})
-            r0 += rows
+        captured = ({"embed": g_embed[..., :rows],
+                     **{name: g_cell[:, b, :, :rows] for b, name in enumerate(lstm)},
+                     "head": g_head[..., :rows]} if capture else None)
+        return grads, captured
+
+    blocks = _map_blocks(sweep_block, len(caches))
+    grads = blocks[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block_grads, _ in blocks[1:]:
+            for name, g in block_grads.items():
+                grads[name] += g
         for name, g in grads.items():
             if not math.isfinite(float(g.sum())):
                 raise dc.DiffError(f"non-finite gradient of parameter '{name}'")
-    step_grads = ({name: _per_step([c[name] for c in captured]) for name in captured[0]}
+    step_grads = ({name: _per_step([c[name] for _, c in blocks]) for name in blocks[0][1]}
                   if capture else {})
     return grads, step_grads

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,16 +25,18 @@ def factored_blocks(kfac):
 # factor updates
 
 
-def _random_activations(params, rng, batch, n_steps):
-    return {name: [rng.normal(size=(batch, params.values[name].shape[1]))
-                   for _ in range(n_steps)] for name in params.kronecker_names}
+def _random_step_inputs(params, rng, batch, n_steps):
+    """Per step, each Kronecker block's (in + 1, batch) inputs, as a
+    recorded unroll's ``step_inputs`` yields them."""
+    return [{name: rng.normal(size=(params.values[name].shape[1], batch))
+             for name in params.kronecker_names} for _ in range(n_steps)]
 
 
 def test_update_a_degenerate_ema_replaces():
     params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
-    activations = _random_activations(params, np.random.default_rng(1), 5, 3)
-    kfac.update_input_stats(activations)
-    want = sum(a.T @ a for a in activations["embed"]) / (5 * np.sqrt(3))
+    steps = _random_step_inputs(params, np.random.default_rng(1), 5, 3)
+    kfac.update_input_stats(steps)
+    want = sum(s["embed"] @ s["embed"].T for s in steps) / (5 * np.sqrt(3))
     got = kfac.blocks["embed"].a_cov
     assert np.abs(got - want).max() < 1e-14
 
@@ -40,12 +44,12 @@ def test_update_a_degenerate_ema_replaces():
 def test_update_a_constant_unit_activation():
     # a_t = e1 over four steps, batch of one: contribution 4 / sqrt(4) = 2 e1 e1^T
     params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
-    activations = {}
+    inputs = {}
     for name in params.kronecker_names:
-        e1 = np.zeros((1, params.values[name].shape[1]))
+        e1 = np.zeros((params.values[name].shape[1], 1))
         e1[0, 0] = 1.0
-        activations[name] = [e1] * 4
-    kfac.update_input_stats(activations)
+        inputs[name] = e1
+    kfac.update_input_stats([inputs] * 4)
     a = kfac.blocks["embed"].a_cov
     want = np.zeros_like(a)
     want[0, 0] = 2.0
@@ -56,26 +60,76 @@ def test_a_stays_symmetric_psd_under_random_updates():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(3)
     for _ in range(100):
-        kfac.update_input_stats(_random_activations(params, rng, 4, 3))
+        kfac.update_input_stats(_random_step_inputs(params, rng, 4, 3))
     for curve in factored_blocks(kfac):
         a = curve.a_cov
         assert np.abs(a - a.T).max() < 1e-12
         assert np.linalg.eigvalsh(a).min() >= -1e-12
 
 
-def test_update_a_reads_the_batch_layer_inputs():
-    # From a recorded unroll, A is the sum over steps of the tape's hook
-    # captures' second moments, scaled by batch size and sqrt(T).
+def _check_a_against_the_tape(n):
+    """A from a recorded unroll of ``n`` paths is the sum over steps of the
+    tape's hook captures' second moments, scaled by batch size and sqrt(T)."""
     params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
     rng = np.random.default_rng(2)
-    features = rng.normal(size=(6, 4, params.config.n_features))
+    features = rng.normal(size=(n, 4, params.config.n_features))
     mask = np.ones((4, params.config.action_dim))
-    kfac.update_input_stats(pol.rollout(params, features, mask).activations)
+    result = pol.rollout(params, features, mask)
+    assert len(result.caches) == -(-n // pol.RECORD_BLOCK)
+    kfac.update_input_stats(result.step_inputs())
     channels = tape_rollout(params, features, mask, capture=True).channels
     for name, channel in channels.items():
-        want = sum(a.T @ a for a in channel.activations) / (6 * np.sqrt(4))
+        want = sum(a.T @ a for a in channel.activations) / (n * np.sqrt(4))
         got = kfac.blocks[name].a_cov
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_update_a_reads_the_batch_layer_inputs():
+    _check_a_against_the_tape(6)
+
+
+def test_update_a_joins_the_row_blocks_of_a_batch():
+    _check_a_against_the_tape(pol.RECORD_BLOCK + 37)
+
+
+def test_input_factors_do_not_depend_on_the_row_blocks(monkeypatch):
+    # Bit for bit: a batch of 512 in two recorded row blocks gives the A
+    # it gives unrolled as one block, so KFAC's eigenbases, which turn
+    # with the last bit of A (ROADMAP item 13), do not depend on them.
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(512, 4, pol.PolicyConfig.n_features))
+    factors = []
+    for block in (pol.RECORD_BLOCK, 512):
+        monkeypatch.setattr(pol, "RECORD_BLOCK", block)
+        params, kfac = make_optimizer(config=op.KfacConfig(beta_factor=0.0))
+        result = pol.rollout(params, features, np.ones((4, params.config.action_dim)))
+        kfac.update_input_stats(result.step_inputs())
+        factors.append({name: b.a_cov for name, b in kfac.blocks.items() if b.a_cov is not None})
+    assert factors[0].keys() == factors[1].keys()
+    for name, a in factors[0].items():
+        assert np.array_equal(a, factors[1][name]), name
+
+
+def test_input_factors_join_row_blocks_one_step_at_a_time():
+    # At desk shape (63 steps, a batch of 512 in two row blocks, width 32)
+    # the update joins the row blocks one step at a time: it takes less
+    # than the smallest layer's inputs joined over every step would, and
+    # keeping every layer's, as ``activations`` does, takes twenty times that.
+    config = pol.PolicyConfig(action_dim=9)
+    params = pol.init_params(config, np.random.default_rng(6))
+    kfac = op.KfacOptimizer(params, op.KfacConfig())
+    rng = np.random.default_rng(7)
+    n, n_steps = 512, 63
+    features = rng.normal(size=(n, n_steps, config.n_features))
+    result = pol.rollout(params, features, np.ones((n_steps, config.action_dim)))
+    tracemalloc.start()
+    try:
+        kfac.update_input_stats(result.step_inputs())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    embed_join = n_steps * n * (config.n_features + config.action_dim + 1) * 8
+    assert peak < embed_join
 
 
 # ---------------------------------------------------------------------------

@@ -439,12 +439,59 @@ def test_threaded_row_blocks_give_the_serial_result(monkeypatch):
         threaded = _unroll_on(monkeypatch, 4, params, features, mask, s)
     finally:
         sys.setswitchinterval(interval)
-    assert (serial[3], threaded[3]) == ([], [4, 4])
+    assert (serial[3], threaded[3]) == ([], [4, 4, 4])   # forward-only, recorded, sweep
     assert np.array_equal(threaded[0], serial[0])
     assert np.array_equal(threaded[1], serial[1])
     assert threaded[2].keys() == serial[2].keys()
     for name, g in serial[2].items():
         assert np.array_equal(threaded[2][name], g), name
+
+
+def _recorded_on(monkeypatch, cpus, params, features, mask, s):
+    """``_sweep`` of a recorded unroll with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
+    return _sweep(pol.rollout(params, features, mask), s)
+
+
+def _assert_bit_for_bit(got, want):
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:], strict=True):
+        assert g.keys() == w.keys()
+        for name in w:
+            assert np.array_equal(np.asarray(g[name]), np.asarray(w[name])), name
+
+
+def test_threaded_sweep_gives_the_serial_result(monkeypatch):
+    # Bit for bit: five recorded row blocks, the last one short, unrolled
+    # and swept inline on one CPU and on a pool of four threads.
+    rng = np.random.default_rng(23)
+    params = pol.init_params(ORACLE, rng)
+    n = 2 * pol.ROW_BLOCK + 5
+    assert -(-n // pol.RECORD_BLOCK) == 5
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+    s = rng.normal(size=(n, 7, ORACLE.action_dim))
+    _assert_bit_for_bit(_recorded_on(monkeypatch, 4, params, features, mask, s),
+                        _recorded_on(monkeypatch, 1, params, features, mask, s))
+
+
+def test_threaded_sweeps_repeat_bit_for_bit(monkeypatch):
+    # Five unroll-and-sweep calls on four threads switching as often as
+    # they can give one result, and leave no pool thread behind.
+    rng = np.random.default_rng(24)
+    params = pol.init_params(ORACLE, rng)
+    n = 3 * pol.RECORD_BLOCK + 5
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
+    s = rng.normal(size=(n, 7, ORACLE.action_dim))
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_recorded_on(monkeypatch, 4, params, features, mask, s) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    for run in runs[1:]:
+        _assert_bit_for_bit(run, runs[0])
 
 
 @pytest.mark.parametrize("record", [False, True])
