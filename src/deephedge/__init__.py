@@ -7,7 +7,9 @@ The package couples:
 * ``contracts``  floating-grid instruments, cliquet payoff, hedging objective,
 * ``policy``     the recurrent hedging network,
 * ``optim``      the Kronecker-factored second-order optimizer and Adam,
-* ``harness``    configuration, training loop, evaluation, metrics.
+* ``harness``    configuration, training loop, evaluation, metrics,
+* ``checkpoint`` checkpoint files of the parameters and the optimizer state,
+* ``rngstreams`` the random streams derived from the root seed, one per purpose.
 """
 
 __version__ = "0.1.0"

@@ -335,13 +335,13 @@ def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
     n = min(n_probe, ds.n_paths)
     res = pol.rollout(params, ds.features[:n], ds.mask)
     du = ct.objective_gradient(res.actions, ds.returns[:n], ds.payoff[:n], gamma, costs)
-    _, step_grads = pol.reverse_sweep(res, du, capture=True)
+    _, captured = pol.reverse_sweep(res, du, capture=True)
+    steps = list(res.step_inputs())
     sq_sum = 0.0
     mean_sq = 0.0
-    for name, activations in res.activations.items():
-        a_stack = np.stack(activations)           # (T, n, in+1)
-        g_stack = np.stack(step_grads[name])      # (T, n, out)
-        per_path = np.einsum("tpo,tpi->poi", g_stack, a_stack) * n
+    for name, g in captured.items():                            # (T, out, n)
+        a_stack = np.stack([inputs[name].T for inputs in steps])   # (T, n, in+1)
+        per_path = np.einsum("tpo,tpi->poi", g.transpose(0, 2, 1), a_stack) * n
         sq_sum += float((per_path ** 2).sum())
         mean_grad = per_path.mean(axis=0)
         mean_sq += float((mean_grad ** 2).sum())
@@ -401,9 +401,9 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     pre-training loss is that of the seed's initial parameters, so a
     resumed run recomputes it bit for bit.
 
-    Writes ``manifest.json`` and one ``metrics.csv`` row per iteration into
-    ``outdir``, then ``checkpoint.dhck`` (:mod:`deephedge.checkpoint`) with
-    the parameters and the optimizer state.
+    Writes ``manifest.json`` and one ``metrics.csv`` row per iteration,
+    each flushed as it is written, into ``outdir``, then ``checkpoint.dhck``
+    (:mod:`deephedge.checkpoint`) with the parameters and the optimizer state.
     ``resume_from`` names a checkpoint of the same config and optimizer;
     the run continues from its iteration and appends to the metrics. The
     result holds paths and counts, not a loss: the metrics hold the
@@ -467,7 +467,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
 
     metrics_path = outdir / "metrics.csv"
     mode = "a" if (resume_from is not None and metrics_path.exists()) else "w"
-    metrics = open(metrics_path, mode)
+    metrics = open(metrics_path, mode, buffering=1)   # line-buffered: flushed row by row
     if mode == "w":
         metrics.write(METRICS_HEADER + "\n")
 

@@ -148,7 +148,7 @@ def damped_scale(scale: np.ndarray, shrinkage: float) -> np.ndarray:
 
 def pseudo_backward(path: pol.RolloutResult, hessian: ct.InnerHessian,
                     rng: np.random.Generator
-                    ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+                    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Backpropagate <s, u> along one path.
 
     ``path`` is a recorded one-path unroll, such as ``batch.path(i)``, so u
@@ -156,7 +156,7 @@ def pseudo_backward(path: pol.RolloutResult, hessian: ct.InnerHessian,
     is drawn so that its covariance equals the action-space curvature
     ``hessian``, making the covariance of the parameter gradients the
     Gauss-Newton matrix. Returns those gradients and, per Kronecker block,
-    the per-step pre-activation gradients.
+    the pre-activation gradients as one (T, out, 1) array.
     """
     n, n_steps, d = path.actions.shape
     if n != 1:
@@ -201,8 +201,8 @@ class KfacOptimizer:
         cadence."""
         if self.wants_input_stats:
             self.update_input_stats(result.step_inputs())
-        grads, step_grads = pseudo_backward(result.path(row), hessian, rng)
-        self.update_output_stats(grads, step_grads)
+        grads, captured = pseudo_backward(result.path(row), hessian, rng)
+        self.update_output_stats(grads, captured)
         if self.wants_eigenbasis:
             self.update_eigenbasis()
 
@@ -225,17 +225,19 @@ class KfacOptimizer:
             block.a_cov += (1.0 - beta) * (total / (batch * np.sqrt(n_steps)))
 
     def update_output_stats(self, grads: dict[str, np.ndarray],
-                            step_grads: dict[str, list[np.ndarray]]) -> None:
-        """EMA of pre-activation pseudo-gradient moments (``step_grads``) and
-        of the eigenbasis second moments of the parameter pseudo-gradients
+                            captured: dict[str, np.ndarray]) -> None:
+        """EMA of pre-activation pseudo-gradient moments, from each
+        Kronecker block's (T, out, paths) ``captured``, and of the
+        eigenbasis second moments of the parameter pseudo-gradients
         ``grads`` (elementwise square after rotation)."""
         beta_f = self.config.beta_factor
         beta_d = self.config.beta_scale
         for name, block in self.blocks.items():
             if block.g_cov is not None:
-                gs = step_grads[name]
-                stacked = np.concatenate(gs, axis=0)
-                contrib = stacked.T @ stacked / np.sqrt(len(gs))
+                g = captured[name]
+                # C-contiguous (T * paths, out) rows: G's sums do not follow the layout
+                stacked = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(-1, g.shape[1])
+                contrib = stacked.T @ stacked / np.sqrt(g.shape[0])
                 block.g_cov *= beta_f
                 block.g_cov += (1.0 - beta_f) * contrib
             rotated = block.q_g.T @ grads[name] @ block.q_a

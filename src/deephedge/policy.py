@@ -24,9 +24,10 @@ The system differentiates two graphs, both this unroll: the batch
 objective (seed dL/du) and <s, u> (seed s), the latter along one path of
 the batch, copied out of its caches by :meth:`RolloutResult.path`. Each
 weight gradient is the sum over steps of pre-activation gradients times
-layer inputs, the identity the Kronecker factors rest on. The generic tape of
-:mod:`deephedge.diffcore` is the reference the tests check the sweep
-against.
+layer inputs, the identity the Kronecker factors rest on; a capturing
+sweep returns a block's pre-activation gradients as one (T, out, paths)
+array. The generic tape of :mod:`deephedge.diffcore` is the reference the
+tests check the sweep against.
 
 Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
 training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
@@ -220,8 +221,9 @@ class Workspace:
     no fresh allocation, and any other unroll reallocates them. Sweeping or
     reading the previous result would then read the new unroll, so an
     unroll into the workspace, or :meth:`release`, invalidates every result
-    recorded into it before: :func:`reverse_sweep`, ``activations`` and
-    ``path`` refuse them. The workspace holds nothing between unrolls that
+    recorded into it before: :func:`reverse_sweep`, ``step_inputs`` and
+    ``path`` refuse them; a sweep's (T, out, paths) captures are its own
+    arrays and stay valid. The workspace holds nothing between unrolls that
     an unroll reads: each one resets what its forward reads before it
     writes, and writes its gate weights into ``cells``.
     """
@@ -278,23 +280,15 @@ class RolloutResult:
         block's are views of the caches, but for the head's, rebuilt from
         the step's residual stream; several are joined along the paths, one
         step at a time, so the matrices are bit for bit the same whatever
-        the row blocks."""
-        embed = self.params.values["embed"]
-        caches = self.recorded()
-        for t in range(caches[0].e.shape[0]):
+        the row blocks. A stale result is refused at the call."""
+        caches, embed = self.recorded(), self.params.values["embed"]
+
+        def joined(t: int) -> dict[str, np.ndarray]:
             parts = [cache.step_inputs(embed, t) for cache in caches]
-            yield parts[0] if len(parts) == 1 else {
+            return parts[0] if len(parts) == 1 else {
                 name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
 
-    @property
-    def activations(self) -> dict[str, list[np.ndarray]]:
-        """Per Kronecker block, its per-step (n, in + 1) inputs: the
-        transposes of :meth:`step_inputs`, every step's kept at once."""
-        out: dict[str, list[np.ndarray]] = {}
-        for inputs in self.step_inputs():
-            for name, x in inputs.items():
-                out.setdefault(name, []).append(x.T)
-        return out
+        return map(joined, range(caches[0].e.shape[0]))
 
     def path(self, i: int) -> "RolloutResult":
         """Path ``i`` as a one-path recorded unroll, copied out of the
@@ -307,13 +301,6 @@ class RolloutResult:
         return RolloutResult(params=self.params, mask=self.mask,
                              actions=self.actions[i:i + 1],
                              caches=[self.recorded()[block].column(j)])
-
-
-def _per_step(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """(T, k, rows) arrays of consecutive row blocks as T arrays of (n, k)."""
-    if len(blocks) == 1:
-        return [a.T for a in blocks[0]]
-    return [np.concatenate([a[t].T for a in blocks]) for t in range(blocks[0].shape[0])]
 
 
 def _usable_cpus() -> int:
@@ -461,24 +448,25 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
 
 
 def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
-                  ) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]]]:
+                  ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Backpropagate the action seed ``du`` (n, T, d) through a recorded
     unroll: the gradient of <du, u> with respect to every parameter.
 
     The batch objective's gradient has ``du = dL/du``; the pseudo-gradient
     has ``du = s``. With ``capture``, also returns each Kronecker block's
-    per-step (n, out) pre-activation gradients, whose outer products with
-    ``result.activations`` sum to the weight gradient. Raises ``DiffError``
-    naming a parameter whose gradient is not finite.
+    (T, out, n) pre-activation gradients g: the sum over steps t of g[t]
+    times step t's transposed ``result.step_inputs()`` is its weight
+    gradient. Raises ``DiffError`` naming a parameter whose gradient is
+    not finite.
 
     The sweep runs each row block backward through time over its caches,
     column by column as the forward does, so a path's pre-activation
     gradients do not depend on its batch. The row blocks run side by side,
     as :func:`_forward`'s do: each sums its own weight gradients over the
     steps from zero and keeps its own captures, and the calling thread adds
-    the blocks' sums in block order. So the gradients depend on
-    ``RECORD_BLOCK``, never on the CPU count, and a one-block unroll's are
-    its block's own.
+    the blocks' sums in block order and joins their captures. So the
+    gradients depend on ``RECORD_BLOCK``, never on the CPU count, and a
+    one-block unroll's are its block's own.
     """
     params = result.params
     config, v = params.config, params.values
@@ -576,6 +564,6 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
         for name, g in grads.items():
             if not math.isfinite(float(g.sum())):
                 raise dc.DiffError(f"non-finite gradient of parameter '{name}'")
-    step_grads = ({name: _per_step([c[name] for _, c in blocks]) for name in blocks[0][1]}
-                  if capture else {})
-    return grads, step_grads
+    captured = ({name: np.concatenate([c[name] for _, c in blocks], axis=-1)
+                 for name in blocks[0][1]} if capture else {})
+    return grads, captured

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deephedge import checkpoint as ckpt
+from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import harness
 from deephedge import optim as op
@@ -389,6 +390,92 @@ def test_two_runs_in_one_process_are_identical(tmp_path, toy_datasets, name):
     want = _resume_records(first.checkpoint_path)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_metrics_rows_are_in_the_file_while_the_run_goes_on(tmp_path, toy_datasets,
+                                                            monkeypatch):
+    # Iteration 1's validation, in the middle of the run, reads the header
+    # and row 0 from the file: each row reaches it as it is written.
+    objective = harness.dataset_objective
+    path = tmp_path / "metrics.csv"
+    seen = []
+
+    def read_the_metrics(*args):
+        seen.append(path.read_text() if path.exists() else None)
+        return objective(*args)
+
+    monkeypatch.setattr(harness, "dataset_objective", read_the_metrics)
+    harness.train(_toy_config("adam", 2, val_every=1), tmp_path, datasets=toy_datasets)
+    assert len(seen) == 3   # the pre-training baseline, then iterations 0 and 1
+    assert seen[2] == "".join(path.read_text().splitlines(keepends=True)[:2])
+    assert seen[2].startswith(harness.METRICS_HEADER + "\n0,")
+
+
+@pytest.mark.parametrize("block", [pol.RECORD_BLOCK, 3])
+def test_probe_is_the_trace_of_the_per_path_gradient_covariance(toy_datasets, monkeypatch,
+                                                                block):
+    # One path at a time: a path unrolled alone and swept with n times its
+    # row of the batch's dL/du gives its single-sample gradient estimate,
+    # and the probe is the unbiased trace of their covariance over the
+    # Kronecker blocks. Row blocks of 3 make the probe join three blocks.
+    cfg = harness.build_config(copy.deepcopy(TOY))
+    params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    ds, n = toy_datasets["train"], 8
+    gamma, costs = cfg.risk_aversion, cfg.costs
+    actions = pol.rollout(params, ds.features[:n], ds.mask, record=False).actions
+    du = n * ct.objective_gradient(actions, ds.returns[:n], ds.payoff[:n], gamma, costs)
+    per_path = []
+    for i in range(n):
+        alone = pol.rollout(params, ds.features[i:i + 1], ds.mask)
+        grads, _ = pol.reverse_sweep(alone, du[i:i + 1])
+        per_path.append(np.concatenate([grads[name].ravel() for name in params.kronecker_names]))
+    want = np.var(per_path, axis=0, ddof=1).sum()
+    monkeypatch.setattr(pol, "RECORD_BLOCK", block)
+    got = harness.probe_gradient_variance(params, ds, gamma, costs, n)
+    assert want > 0.0 and abs(got - want) <= 1e-10 * want
+
+
+def _two_block_config(name):
+    """TOY with 600 training paths, and a batch and a probe of 300 paths:
+    two recorded row blocks each."""
+    raw = _with("data.n_train", 600)
+    raw["training"].update(batch_size=300, probe_paths=300, val_every=1)
+    if name == "kfac":
+        raw["optimizer"] = {"kfac": dict(TRAINING_KFAC)}
+    return harness.build_config(raw, optimizer_override=name)
+
+
+@pytest.fixture(scope="module")
+def two_block_datasets():
+    return harness.build_datasets(_two_block_config("adam"))
+
+
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_training_does_not_depend_on_the_cpu_count(tmp_path, two_block_datasets, monkeypatch,
+                                                   name):
+    # The row blocks unrolled and swept inline on one CPU, and side by side
+    # on a pool, train alike.
+    cfg = _two_block_config(name)
+    assert -(-cfg.training.batch_size // pol.RECORD_BLOCK) == 2
+    pools = []
+
+    class Pool(pol.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(pol, "ThreadPoolExecutor", Pool)
+    runs = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(pol, "_usable_cpus", lambda cpus=cpus: cpus)
+        runs[cpus] = harness.train(cfg, tmp_path / str(cpus), datasets=two_block_datasets)
+        if cpus == 1:
+            assert pools == []
+    assert pools and set(pools) == {2}
+    assert (_metrics_without_wall_ms(runs[1].metrics_path)
+            == _metrics_without_wall_ms(runs[4].metrics_path))
+    assert (Path(runs[1].checkpoint_path).read_bytes()
+            == Path(runs[4].checkpoint_path).read_bytes())
 
 
 # A head 1e6 times the default overflows symexp at the first step: training

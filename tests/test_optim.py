@@ -114,7 +114,7 @@ def test_input_factors_join_row_blocks_one_step_at_a_time():
     # At desk shape (63 steps, a batch of 512 in two row blocks, width 32)
     # the update joins the row blocks one step at a time: it takes less
     # than the smallest layer's inputs joined over every step would, and
-    # keeping every layer's, as ``activations`` does, takes twenty times that.
+    # keeping every layer's over every step would take twenty times that.
     config = pol.PolicyConfig(action_dim=9)
     params = pol.init_params(config, np.random.default_rng(6))
     kfac = op.KfacOptimizer(params, op.KfacConfig())
@@ -172,17 +172,18 @@ def test_pseudo_backward_matches_the_tape():
     returns = rng.normal(size=(3, 2)) * 0.1
     returns[mask == 0.0] = 0.0
     h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec())
-    grads, step_grads = op.pseudo_backward(pol.rollout(params, features, mask), h,
-                                           np.random.default_rng(9))
+    grads, captured = op.pseudo_backward(pol.rollout(params, features, mask), h,
+                                         np.random.default_rng(9))
     s = ct.sample_pseudo_target(h, np.random.default_rng(9)).reshape(1, 3, 2)
     tape = tape_rollout(params, features, mask, capture=True)
     want = dc.backward(tape_inner(tape.action_nodes, s), hooks=tape.channels.values())
-    assert grads.keys() == want.keys() and step_grads.keys() == tape.channels.keys()
+    assert grads.keys() == want.keys() and captured.keys() == tape.channels.keys()
     for name, w in want.items():
         assert np.abs(grads[name] - w).max() <= 1e-12 * np.abs(w).max(), name
     for name, channel in tape.channels.items():
-        for g, w in zip(step_grads[name], channel.grads, strict=True):
-            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+        assert captured[name].shape == (3, params.values[name].shape[0], 1)
+        for g, w in zip(captured[name], channel.grads, strict=True):
+            assert np.abs(g.T - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
 def test_pseudo_backward_linear_in_target():
@@ -224,8 +225,8 @@ def test_a_pseudo_path_read_from_its_batch_is_the_path_unrolled_alone():
         assert got[0].keys() == want[0].keys() and got[1].keys() == want[1].keys()
         for name, w in want[0].items():
             assert np.array_equal(got[0][name], w), (i, name)
-        for name, steps in want[1].items():
-            assert all(np.array_equal(g, w) for g, w in zip(got[1][name], steps, strict=True))
+        for name, w in want[1].items():
+            assert np.array_equal(got[1][name], w), (i, name)
     with pytest.raises(ValueError, match="one path"):
         op.pseudo_backward(batch, h, np.random.default_rng(0))
 
@@ -276,18 +277,17 @@ def test_pseudo_gradient_covariance_matches_the_cost_diagonal():
 def test_update_g_and_d_identity_rotation():
     params, kfac = make_optimizer(config=op.KfacConfig(beta_scale=0.0, beta_factor=0.0))
     rng = np.random.default_rng(8)
-    grads, step_grads = {}, {}
+    grads, captured = {}, {}
     for name, value in params.values.items():
         grads[name] = rng.normal(size=value.shape)
-    for name in params.kronecker_names:
-        shape = params.values[name].shape
-        step_grads[name] = [rng.normal(size=(1, shape[0])) for _ in range(3)]
-    kfac.update_output_stats(grads, step_grads)
+    for name in params.kronecker_names:   # three steps of two paths
+        captured[name] = rng.normal(size=(3, params.values[name].shape[0], 2))
+    kfac.update_output_stats(grads, captured)
     for name, block in kfac.blocks.items():
         # q factors start at the identity, so D is the squared gradient
         assert np.abs(block.scale - grads[name] ** 2).max() < 1e-15
     for name in params.kronecker_names:
-        want_g = sum(g.T @ g for g in step_grads[name]) / np.sqrt(3)
+        want_g = sum(g @ g.T for g in captured[name]) / np.sqrt(3)
         assert np.abs(kfac.blocks[name].g_cov - want_g).max() < 1e-14
 
 
@@ -300,12 +300,12 @@ def test_d_converges_to_stationary_second_moment():
     base = rng.uniform(0.5, 2.0, size=shape)
     n = 4000
     for _ in range(n):
-        grads, step_grads = {}, {}
+        grads, captured = {}, {}
         for pname, value in params.values.items():
             grads[pname] = rng.normal(size=value.shape) * (base if pname == name else 1.0)
         for pname in params.kronecker_names:
-            step_grads[pname] = [rng.normal(size=(1, params.values[pname].shape[0]))]
-        kfac.update_output_stats(grads, step_grads)
+            captured[pname] = rng.normal(size=(1, params.values[pname].shape[0], 1))
+        kfac.update_output_stats(grads, captured)
     got = kfac.blocks[name].scale
     want = base ** 2
     # EMA with beta=0.9 has effective sample size ~19; allow 5 sigma
@@ -317,13 +317,12 @@ def test_g_symmetric_psd_after_updates():
     params, kfac = make_optimizer()
     rng = np.random.default_rng(10)
     for _ in range(50):
-        grads, step_grads = {}, {}
+        grads, captured = {}, {}
         for name, value in params.values.items():
             grads[name] = rng.normal(size=value.shape)
         for name in params.kronecker_names:
-            s = params.values[name].shape
-            step_grads[name] = [rng.normal(size=(1, s[0])) for _ in range(4)]
-        kfac.update_output_stats(grads, step_grads)
+            captured[name] = rng.normal(size=(4, params.values[name].shape[0], 1))
+        kfac.update_output_stats(grads, captured)
     for curve in factored_blocks(kfac):
         g = curve.g_cov
         assert np.abs(g - g.T).max() < 1e-12

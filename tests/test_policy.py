@@ -194,12 +194,14 @@ def test_hook_channels_record_every_step():
     params = pol.init_params(TINY, rng)
     features, mask, returns, payoff = _random_problem(rng, TINY, n_steps=6)
     result = pol.rollout(params, features, mask)
-    grads, step_grads = pol.reverse_sweep(result, _objective_seed(result, returns, payoff),
-                                          capture=True)
-    assert step_grads.keys() == result.activations.keys() == set(params.kronecker_names)
-    for name, activations in result.activations.items():
-        assert len(activations) == len(step_grads[name]) == 6
-        hook_sum = sum(g.T @ a for g, a in zip(step_grads[name], activations))
+    grads, captured = pol.reverse_sweep(result, _objective_seed(result, returns, payoff),
+                                        capture=True)
+    inputs = _stacked_inputs(result)
+    assert captured.keys() == inputs.keys() == set(params.kronecker_names)
+    for name, g in captured.items():
+        assert g.shape == (6, params.values[name].shape[0], 4)
+        assert inputs[name].shape == (6, params.values[name].shape[1], 4)
+        hook_sum = sum(g_t @ a_t.T for g_t, a_t in zip(g, inputs[name]))
         assert np.abs(hook_sum - grads[name]).max() < 1e-12
 
 
@@ -246,12 +248,14 @@ def test_sweep_captures_match_the_tape_channels(n):
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     s = rng.normal(size=(n, 7, ORACLE.action_dim))
     result = pol.rollout(params, features, mask)
-    _, step_grads = pol.reverse_sweep(result, s, capture=True)
+    _, captured = pol.reverse_sweep(result, s, capture=True)
+    inputs = _stacked_inputs(result)
     _, tape = _tape_gradients(params, features, mask, lambda nodes: tape_inner(nodes, s),
                               hooks=True)
     for name, channel in tape.channels.items():
+        assert captured[name].shape[0] == inputs[name].shape[0] == len(channel.grads) == 7
         for t in range(7):
-            a, g = result.activations[name][t], step_grads[name][t]
+            a, g = inputs[name][t].T, captured[name][t].T
             want_a, want_g = channel.activations[t], channel.grads[t]
             assert a.shape == want_a.shape and g.shape == want_g.shape
             assert np.abs(a - want_a).max() <= 1e-12 * np.abs(want_a).max(), (name, t)
@@ -267,10 +271,8 @@ def test_sweep_keeps_no_state_between_calls():
     def sweep(n, seed):
         r = np.random.default_rng(seed)
         features, mask, _, _ = _random_problem(r, ORACLE, n=n, n_steps=7)
-        result = pol.rollout(params, features, mask)
-        grads, step_grads = pol.reverse_sweep(
-            result, r.normal(size=(n, 7, ORACLE.action_dim)), capture=True)
-        return result.actions, grads, step_grads, result.activations
+        return _sweep(pol.rollout(params, features, mask),
+                      r.normal(size=(n, 7, ORACLE.action_dim)))
 
     first = sweep(13, 1)
     sweep(pol.ROW_BLOCK + 3, 2)
@@ -279,7 +281,7 @@ def test_sweep_keeps_no_state_between_calls():
     assert np.array_equal(first[0], again[0])
     for got, want in zip(again[1:], first[1:]):
         for name in want:
-            assert np.array_equal(np.asarray(got[name]), np.asarray(want[name])), name
+            assert np.array_equal(got[name], want[name]), name
 
 
 def test_a_pseudo_path_is_its_column_in_the_batch():
@@ -295,15 +297,21 @@ def test_a_pseudo_path_is_its_column_in_the_batch():
         alone = pol.rollout(params, features[i:i + 1], mask)
         _, alone_grads = pol.reverse_sweep(alone, s[i:i + 1], capture=True)
         assert np.array_equal(alone.actions[0], batch.actions[i]), i
-        for name, steps in alone_grads.items():
-            for t, g in enumerate(steps):
-                assert np.array_equal(g[0], batch_grads[name][t][i]), (i, name, t)
+        for name, g in alone_grads.items():
+            assert np.array_equal(g[..., 0], batch_grads[name][..., i]), (i, name)
+
+
+def _stacked_inputs(result):
+    """Each Kronecker block's (T, in + 1, n) layer inputs, ``step_inputs``
+    stacked over the steps."""
+    steps = list(result.step_inputs())
+    return {name: np.stack([inputs[name] for inputs in steps]) for name in steps[0]}
 
 
 def _sweep(result, s):
     """Actions, gradients, captures and layer inputs of a recorded unroll."""
-    grads, step_grads = pol.reverse_sweep(result, s, capture=True)
-    return result.actions, grads, step_grads, result.activations
+    grads, captured = pol.reverse_sweep(result, s, capture=True)
+    return result.actions, grads, captured, _stacked_inputs(result)
 
 
 def test_a_reused_workspace_gives_what_fresh_buffers_give():
@@ -330,7 +338,7 @@ def test_a_reused_workspace_gives_what_fresh_buffers_give():
         for g, w in zip(got[1:], want[1:]):
             assert g.keys() == w.keys()
             for name in w:
-                assert np.array_equal(np.asarray(g[name]), np.asarray(w[name])), (n, name)
+                assert np.array_equal(g[name], w[name]), (n, name)
 
 
 def test_a_reused_workspace_refuses_the_results_it_held():
@@ -341,7 +349,7 @@ def test_a_reused_workspace_refuses_the_results_it_held():
     old = pol.rollout(params, features, mask, workspace=workspace)
     new = pol.rollout(params, features, mask, workspace=workspace)
     seed = np.ones(new.actions.shape)
-    uses = (lambda r: pol.reverse_sweep(r, seed), lambda r: r.activations, lambda r: r.path(0))
+    uses = (lambda r: pol.reverse_sweep(r, seed), lambda r: r.step_inputs(), lambda r: r.path(0))
     for use in uses:
         with pytest.raises(ValueError, match="workspace"):
             use(old)
@@ -400,8 +408,9 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
     assert [w.shape for w in workspace.cells] == [(4 * h, 2 * h + 1)] * b
     # the head's inputs, rebuilt from the stream, are the tape's
     tape = tape_rollout(params, features, mask, capture=True)
+    head_inputs = _stacked_inputs(result)["head"]
     for t, want in enumerate(tape.channels["head"].activations):
-        got = result.activations["head"][t]
+        got = head_inputs[t].T
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
 
@@ -458,7 +467,7 @@ def _assert_bit_for_bit(got, want):
     for g, w in zip(got[1:], want[1:], strict=True):
         assert g.keys() == w.keys()
         for name in w:
-            assert np.array_equal(np.asarray(g[name]), np.asarray(w[name])), name
+            assert np.array_equal(g[name], w[name]), name
 
 
 def test_threaded_sweep_gives_the_serial_result(monkeypatch):
