@@ -3,6 +3,7 @@
 The package couples:
 
 * ``diffcore``   the reference tape the tests check ``policy.reverse_sweep`` against,
+                 loaded only by them, the benchmark's tracer and ``batch_objective``,
 * ``market``     Heston simulation and semi-analytic vanilla pricing,
 * ``contracts``  floating-grid instruments, cliquet payoff, hedging objective,
 * ``policy``     the recurrent hedging network,

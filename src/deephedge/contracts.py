@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc
-
 
 @dataclass(frozen=True)
 class GridOption:
@@ -261,13 +259,15 @@ def objective_gradient(actions: np.ndarray, returns: np.ndarray, payoff: np.ndar
 
 
 def batch_objective(action_nodes, returns: np.ndarray, payoff: np.ndarray,
-                    gamma: float, costs: CostSpec) -> dc.Node:
+                    gamma: float, costs: CostSpec):
     """The same loss built from tape primitives, differentiable end to end:
     the reference :func:`objective_gradient` is checked against.
 
     ``action_nodes`` is the per-step list of (batch, d) nodes of a policy
     unroll on the tape; returns and payoff are constants of the episode.
     """
+    from . import diffcore as dc   # here, so that training never loads the tape
+
     tape = action_nodes[0].tape
     n, d = action_nodes[0].value.shape
     if n < 2:

@@ -3,14 +3,18 @@
 Training does not use this engine: the policy's own reverse sweep
 (:func:`deephedge.policy.reverse_sweep`) differentiates both of its
 graphs. The tape is the plain reference the tests check that sweep
-against. Its op names stay as they are because the benchmark's tracer,
+against, and nothing that trains, validates or evaluates loads it: only
+the tests, the benchmark's tracer and
+:func:`deephedge.contracts.batch_objective`, which imports it when
+called, do. Its op names stay as they are because the tracer,
 ``perfbench/tracing.py``, wraps them by name. :class:`DiffError` and
-``RMS_EPS`` are shared with the policy.
+``RMS_EPS`` are the policy's, imported from :mod:`deephedge.policy`.
 
 A define-by-run tape records primitive operations on 2-D arrays (rows
 carry the batch, columns the features). Each op keeps whatever its
 reverse rule reads; :func:`backward` walks the tape in reverse and adds
-up the gradients that reach each node.
+up the gradients that reach each node. The binary ops take operands of
+one shape: the graphs the tests build need no broadcasting.
 
 An affine layer is one bias-augmented weight matrix (the input gets a
 trailing column of ones). A :class:`HookChannel` on an affine node, or on
@@ -32,11 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-RMS_EPS = 1e-8  # inside the root: sqrt(mean(x^2) + RMS_EPS)
-
-
-class DiffError(RuntimeError):
-    """Shape mismatch, non-finite value, or misuse of the tape."""
+from .policy import RMS_EPS, DiffError
 
 
 def _matrix(value, name: str) -> np.ndarray:
@@ -108,41 +108,26 @@ def _tape_of(*nodes: Node) -> Tape:
     return nodes[0].tape
 
 
-def _broadcast_tape(a: Node, b: Node, op: str) -> Tape:
-    # Same shape, or one operand is (1, c), (r, 1) or (1, 1).
-    x, y = a.value.shape, b.value.shape
-    for axis in (0, 1):
-        if x[axis] != y[axis] and 1 not in (x[axis], y[axis]):
-            raise DiffError(f"{op}: incompatible shapes {x} and {y}")
+def _same_shape_tape(a: Node, b: Node, op: str) -> Tape:
+    if a.value.shape != b.value.shape:
+        raise DiffError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
     return _tape_of(a, b)
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum a gradient over the axes its operand was broadcast along."""
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
 def add(a: Node, b: Node) -> Node:
-    ash, bsh = a.value.shape, b.value.shape
-    return _broadcast_tape(a, b, "add")._emit(
-        a.value + b.value, (a, b), lambda g: (_reduce_to(g, ash), _reduce_to(g, bsh)), "add")
+    return _same_shape_tape(a, b, "add")._emit(
+        a.value + b.value, (a, b), lambda g: (g, g), "add")
 
 
 def sub(a: Node, b: Node) -> Node:
-    ash, bsh = a.value.shape, b.value.shape
-    return _broadcast_tape(a, b, "sub")._emit(
-        a.value - b.value, (a, b), lambda g: (_reduce_to(g, ash), _reduce_to(-g, bsh)), "sub")
+    return _same_shape_tape(a, b, "sub")._emit(
+        a.value - b.value, (a, b), lambda g: (g, -g), "sub")
 
 
 def multiply(a: Node, b: Node) -> Node:
     av, bv = a.value, b.value
-    return _broadcast_tape(a, b, "multiply")._emit(
-        av * bv, (a, b),
-        lambda g: (_reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape)), "multiply")
+    return _same_shape_tape(a, b, "multiply")._emit(
+        av * bv, (a, b), lambda g: (g * bv, g * av), "multiply")
 
 
 def scale(a: Node, s: float) -> Node:

@@ -44,7 +44,6 @@ import yaml
 
 from . import checkpoint as ckpt
 from . import contracts as ct
-from . import diffcore as dc
 from . import market as mk
 from . import optim as op
 from . import policy as pol
@@ -425,7 +424,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
     try:
         baseline = dataset_objective(params, ds_val, gamma, costs)
-    except dc.DiffError as exc:
+    except pol.DiffError as exc:
         # No baseline, so the first validation stops the run, if the first
         # step's forward pass has not already named the step that overflowed.
         log.warning("no pre-training validation loss: %s", exc)
@@ -525,7 +524,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
                                        grad_var, max_scale, wall_ms))
             if reached:
                 break
-    except (dc.DiffError, op.OptimError, TrainingDiverged):
+    except (pol.DiffError, op.OptimError, TrainingDiverged):
         save_checkpoint(last_good)
         raise
     finally:

@@ -27,7 +27,10 @@ weight gradient is the sum over steps of pre-activation gradients times
 layer inputs, the identity the Kronecker factors rest on; a capturing
 sweep returns a block's pre-activation gradients as one (T, out, paths)
 array. The generic tape of :mod:`deephedge.diffcore` is the reference the
-tests check the sweep against.
+tests check the sweep against. Nothing that trains, validates or
+evaluates loads it: only the tests, the benchmark's tracer and
+:func:`deephedge.contracts.batch_objective` do, and it takes
+:class:`DiffError` and ``RMS_EPS`` from this module.
 
 Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
 training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
@@ -52,7 +55,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import contracts as ct
-from . import diffcore as dc
+
+RMS_EPS = 1e-8  # inside the root: sqrt(mean(x^2) + RMS_EPS)
+
+
+class DiffError(RuntimeError):
+    """A non-finite action or gradient, or misuse of the reference tape."""
 
 
 @dataclass(frozen=True)
@@ -413,7 +421,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
                 aug, gates, r = cache.aug[now, b], cache.gates[now, kb], cache.r[now, kb]
                 np.einsum("ij,ij->j", xs, xs, out=r)
                 r /= h_dim
-                r += dc.RMS_EPS
+                r += RMS_EPS
                 np.sqrt(r, out=r)
                 np.divide(1.0, r, out=r)
                 np.multiply(xs, r, out=aug[:h_dim])
@@ -440,7 +448,7 @@ def _forward(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
             np.multiply(np.sign(pre_u), e - 1.0, out=u)
             u *= mask[t][:, None]
             if not np.isfinite(u[:, :rows].sum()):
-                raise dc.DiffError(f"non-finite action at step {t}")
+                raise DiffError(f"non-finite action at step {t}")
             actions[r0:r0 + rows, t] = u[:, :rows].T
 
     _map_blocks(unroll_block, -(-n // block))
@@ -563,7 +571,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
                 grads[name] += g
         for name, g in grads.items():
             if not math.isfinite(float(g.sum())):
-                raise dc.DiffError(f"non-finite gradient of parameter '{name}'")
+                raise DiffError(f"non-finite gradient of parameter '{name}'")
     captured = ({name: np.concatenate([c[name] for _, c in blocks], axis=-1)
                  for name in blocks[0][1]} if capture else {})
     return grads, captured

@@ -201,11 +201,12 @@ def mc_option_prices(params: HestonParams, contracts, dt: float,
 
 
 def tape_step(params_nodes: dict[str, dc.Node], config: pol.PolicyConfig,
-              hc: list[dc.Node], u_prev: dc.Node, features: dc.Node, mask_row: dc.Node,
+              hc: list[dc.Node], u_prev: dc.Node, features: dc.Node, mask_row: np.ndarray,
               channels: dict[str, dc.HookChannel]) -> tuple[dc.Node, list[dc.Node]]:
     """One policy step on the tape; returns the masked action and each
-    block's stacked [h | c] state."""
-    h_dim = config.hidden
+    block's stacked [h | c] state. ``mask_row`` is the step's (d,) row of
+    the availability mask."""
+    tape, h_dim = u_prev.tape, config.hidden
     x = dc.affine(dc.concat([features, u_prev]), params_nodes["embed"],
                   channel=channels.get("embed"))
     new_hc = []
@@ -216,7 +217,8 @@ def tape_step(params_nodes: dict[str, dc.Node], config: pol.PolicyConfig,
         x = dc.add(x, dc.slice_cols(hc_b, 0, h_dim))  # residual: input plus cell output
         new_hc.append(hc_b)
     head = dc.affine(x, params_nodes["head"], channel=channels.get("head"))
-    return dc.multiply(dc.symexp(head), mask_row), new_hc
+    mask = tape.constant(np.tile(mask_row, (head.value.shape[0], 1)))
+    return dc.multiply(dc.symexp(head), mask), new_hc
 
 
 @dataclass
@@ -246,7 +248,7 @@ def tape_rollout(params: pol.PolicyParams, features: np.ndarray, mask: np.ndarra
     action_nodes = []
     for t in range(n_steps):
         u, hc = tape_step(params_nodes, config, hc, u, tape.constant(features[:, t, :]),
-                          tape.constant(mask[t].reshape(1, -1)), channels)
+                          mask[t], channels)
         action_nodes.append(u)
     return TapeRollout(tape=tape, action_nodes=action_nodes, channels=channels)
 

@@ -101,6 +101,8 @@ def test_names_the_benchmark_uses_resolve():
     for error in (diffcore.DiffError, harness.TrainingDiverged, optim.OptimError,
                   market.MarketError):
         assert issubclass(error, Exception)
+    # perfbench/worker.py names the policy's error through the tape
+    assert diffcore.DiffError is policy.DiffError
     cfg = harness.build_config({"market": {}, "grid": {10: [1.0]},
                                 "cliquet": {"cap": 0.015, "resets": [10]}, "seed": 7})
     cached = harness.make_cached_pricer(cfg, v_max=0.5)

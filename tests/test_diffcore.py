@@ -50,8 +50,18 @@ def test_unary_primitives_match_finite_differences(name):
 @pytest.mark.parametrize("shape_b", [(4, 3), (1, 3), (4, 1), (1, 1)])
 @pytest.mark.parametrize("op", [dc.add, dc.sub, dc.multiply])
 def test_binary_broadcast_gradients(op, shape_b):
+    # The tape does not broadcast: an operand of another shape is refused,
+    # on either side, and operands of one shape differentiate.
     a0 = RNG.normal(size=(4, 3))
     b0 = RNG.normal(size=shape_b)
+    if shape_b != a0.shape:
+        tape = dc.Tape()
+        a = tape.parameter("a", a0)
+        b = tape.parameter("b", b0)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(dc.DiffError, match="differ$"):
+                op(x, y)
+        return
 
     def run(params):
         tape = dc.Tape()

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -110,6 +113,15 @@ def test_toy_config_builds():
     ("market.dt", True),
     ("objective.risk_aversion", True),
     ("grid", {10: [True]}),
+    # refusals of the sections' own checks
+    ("optimizer.name", "sgd"),
+    ("grid", {30: [1.0]}),   # matures past the last reset
+    ("training.batch_size", 1),
+    ("data.n_train", 16),    # less than one batch
+    ("optimizer.kfac.beta_factor", 1.0),
+    ("optimizer.kfac.tr_decay", 0.0),
+    ("optimizer.kfac.shrinkage", 1.0),
+    ("cliquet.resets", [14, 7, 21]),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
@@ -327,6 +339,31 @@ def test_a_nan_validation_loss_stops_the_run(tmp_path, toy_datasets, monkeypatch
     assert len(_metrics_without_wall_ms(tmp_path / "metrics.csv")) == 1 + 2
 
 
+def test_resume_refuses_another_config_or_optimizer(tmp_path, toy_datasets):
+    # The optimizer is not part of a config's identity, so an Adam
+    # checkpoint matches the KFAC config and is refused for its state.
+    result = harness.train(_toy_config("adam", 1), tmp_path / "run", datasets=toy_datasets)
+    other = harness.build_config(_with("objective.risk_aversion", 10.0),
+                                 optimizer_override="adam")
+    with pytest.raises(ckpt.CheckpointError, match="^checkpoint does not match this config$"):
+        harness.train(other, tmp_path / "other", resume_from=result.checkpoint_path,
+                      datasets=toy_datasets)
+    with pytest.raises(ckpt.CheckpointError,
+                       match="^checkpoint holds adam state, config wants kfac$"):
+        harness.train(_toy_config("kfac", 2), tmp_path / "kfac",
+                      resume_from=result.checkpoint_path, datasets=toy_datasets)
+
+
+def test_a_run_builds_its_own_datasets_as_given_ones(tmp_path):
+    cfg = _toy_config("adam", 1)
+    own = harness.train(cfg, tmp_path / "own")
+    given = harness.train(cfg, tmp_path / "given", datasets=harness.build_datasets(cfg))
+    assert (_metrics_without_wall_ms(own.metrics_path)
+            == _metrics_without_wall_ms(given.metrics_path))
+    assert (Path(own.checkpoint_path).read_bytes()
+            == Path(given.checkpoint_path).read_bytes())
+
+
 def test_resume_refuses_another_optimizer_state_version(tmp_path, toy_datasets):
     cfg = harness.build_config(copy.deepcopy(TOY), optimizer_override="adam")
     result = harness.train(cfg, tmp_path / "run", datasets=toy_datasets)
@@ -372,6 +409,33 @@ def test_resumed_run_equals_a_straight_run(tmp_path, toy_datasets, name):
     assert (_metrics_without_wall_ms(resumed.metrics_path)
             == _metrics_without_wall_ms(straight.metrics_path))
     assert len(_metrics_without_wall_ms(straight.metrics_path)) == 1 + total
+
+
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_a_reached_validation_target_stops_the_run(tmp_path, toy_datasets, name):
+    # Every loss is below 1e9, so the first validation, at iteration 0,
+    # reaches it and the run ends as a straight one-iteration run does.
+    result = harness.train(_toy_config(name, 3, val_target=1e9), tmp_path / "target",
+                           datasets=toy_datasets)
+    assert (result.reached_target, result.target_iteration, result.iterations_run) == (
+        True, 0, 1)
+    straight = harness.train(_toy_config(name, 1), tmp_path / "straight",
+                             datasets=toy_datasets)
+    assert (_metrics_without_wall_ms(result.metrics_path)
+            == _metrics_without_wall_ms(straight.metrics_path))
+    got = _resume_records(result.checkpoint_path)
+    want = _resume_records(straight.checkpoint_path)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_an_unreached_validation_target_runs_the_whole_budget(tmp_path, toy_datasets, name):
+    result = harness.train(_toy_config(name, 3, val_target=0.0), tmp_path,
+                           datasets=toy_datasets)
+    assert (result.reached_target, result.target_iteration, result.iterations_run) == (
+        False, None, 3)
+    assert len(_metrics_without_wall_ms(result.metrics_path)) == 1 + 3
 
 
 @pytest.mark.parametrize("name", ["adam", "kfac"])
@@ -609,3 +673,34 @@ def test_pnl_histogram_of_an_empty_evaluation_is_its_header(tmp_path):
     dump.write_text(harness.PER_PATH_HEADER + "\n")
     out = harness.export_pnl_histogram(dump, tmp_path / "out")
     assert Path(out).read_text() == "kind,bin_left,bin_right,count\n"
+
+
+# Run in a fresh interpreter, so that no other test's imports count.
+NO_TAPE_SCRIPT = """
+import sys
+from deephedge import checkpoint, harness, policy
+raw, kfac, outdir = {raw!r}, {kfac!r}, sys.argv[1]
+for name in ("kfac", "adam"):
+    run = dict(raw, optimizer={{"kfac": kfac}})
+    cfg = harness.build_config(run, optimizer_override=name)
+    result = harness.train(cfg, f"{{outdir}}/{{name}}")
+records = checkpoint.load_records(result.checkpoint_path)[0]
+params = policy.PolicyParams(cfg.policy, {{k: records[k] for k in cfg.policy.param_shapes()}})
+ds_test = harness.build_datasets(cfg, ("test",))["test"]
+summary, dump = harness.write_evaluation(outdir, harness.evaluate(cfg, params, ds_test))
+harness.export_pnl_histogram(dump, outdir)
+harness.export_hedge_fans(summary, outdir)
+assert "deephedge.diffcore" not in sys.modules, "the reference tape was loaded"
+"""
+
+
+def test_training_and_evaluation_never_load_the_tape(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = NO_TAPE_SCRIPT.format(raw=_with("training.max_iterations", 2), kfac=TRAINING_KFAC)
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "adam", "evaluation.json", "evaluation_paths.csv", "hedge_fans.csv", "kfac",
+        "pnl_histogram.csv"]

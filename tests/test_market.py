@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from deephedge import market
 from deephedge.contracts import full_grid
 from deephedge.market import CachedGridPricer, HestonParams, HestonPricer, MarketError, simulate
 from oracles import call_price, mc_option_prices, put_price
@@ -66,6 +67,21 @@ def test_simulation_deterministic_and_prefix_stable():
     # growing the batch must not disturb earlier paths (counter-based RNG)
     c = simulate(PAPER, 1500, 20, DT, substeps=2, seed=7)
     assert np.array_equal(c.spot[:1000], a.spot)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_state_names_its_path_step_and_substep(monkeypatch):
+    draw = market.rngstreams.substep_normals
+
+    def inf_on_path_3_at_step_2_substep_1(seed, stream, counter, n_paths):
+        z = draw(seed, stream, counter, n_paths)
+        if counter == 2 * 2 + 1:
+            z[3] = np.inf
+        return z
+
+    monkeypatch.setattr(market.rngstreams, "substep_normals", inf_on_path_3_at_step_2_substep_1)
+    with pytest.raises(MarketError, match="^non-finite state at path 3, step 2, substep 1$"):
+        simulate(PAPER, 8, 5, DT, substeps=2, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +155,14 @@ def test_invalid_pricing_inputs(pricer):
         call_price(pricer, -1.0, PAPER.v0, 10, 1.0)
     with pytest.raises(ValueError):
         call_price(pricer, 1.0, -0.1, 10, 1.0)
+
+
+def test_an_uncertified_price_does_not_converge():
+    # No scale of the ladder brings the two rules within 1e-300 of each other.
+    strict = HestonPricer(PAPER, DT)
+    strict.tol = 1e-300
+    with pytest.raises(MarketError, match="^pricing quadrature did not converge to 1.0e-300 "):
+        strict.unit_call(np.array([PAPER.v0]), 10, 0.0)
 
 
 def test_atm_call_matches_monte_carlo(pricer):

@@ -104,8 +104,7 @@ def test_single_step_rollout_equals_forward_step():
     pnodes = {k: tape.parameter(k, v) for k, v in params.values.items()}
     hc = [tape.constant(np.zeros((3, 2 * TINY.hidden))) for _ in range(TINY.n_blocks)]
     u, _ = tape_step(pnodes, TINY, hc, tape.constant(np.zeros((3, TINY.action_dim))),
-                     tape.constant(features[:, 0, :]), tape.constant(mask[0].reshape(1, -1)),
-                     {})
+                     tape.constant(features[:, 0, :]), mask[0], {})
     assert np.array_equal(via_rollout, u.value)
 
 
