@@ -16,13 +16,17 @@ The policy's matrix products are small, so threaded BLAS loses more to
 synchronization than it gains. The BLAS thread count cannot be changed
 once numpy has loaded; set it in the environment before start-up, e.g.
 ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does for each of its
-worker processes. The policy runs its row blocks on one thread per
-usable CPU instead, each with its own single-threaded BLAS calls: a
-training batch's recorded unroll and its reverse sweep in blocks of 256
-paths (``policy.RECORD_BLOCK``), so a batch of 512 takes two CPUs, and
-validation and evaluation in blocks of 512 (``policy.ROW_BLOCK``). The
-block size, not the CPU count, sets the order of every sum, so results do
-not depend on that count; wall time does, so ``manifest.json`` records it.
+worker processes. The policy runs its row blocks side by side instead,
+each with its own single-threaded BLAS calls. A training batch's recorded
+unroll and its reverse sweep run in blocks of 256 paths
+(``policy.RECORD_BLOCK``) in worker processes that the run's workspace
+forks, so a batch of 512 takes two CPUs: the sweep's many small ufunc
+calls each release the GIL and take it back, which costs threads about a
+third of their time. Validation and evaluation run in blocks of 512
+(``policy.ROW_BLOCK``) on one thread per usable CPU, where matrix products
+take most of the time. The block size, not the CPU or worker count, sets
+the order of every sum, so results do not depend on those counts; wall
+time does, so ``manifest.json`` records both.
 """
 
 from __future__ import annotations
@@ -391,9 +395,12 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     batch, read from the batch's caches, and the optimizer steps on the
     batch gradient. The run records every batch into one
     ``policy.Workspace``, so the caches (about 275 MB at a batch of 512
-    and 63 steps) are allocated once, not per iteration; it drops them
-    before the gradient-variance probe, whose unroll then takes their
-    place, and the next iteration allocates them again.
+    and 63 steps) are allocated once, not per iteration, with the worker
+    processes that unroll and sweep all row blocks but the first (one at
+    a batch of 512 on two CPUs; ``block_workers`` in the manifest); it
+    drops both before the gradient-variance probe, whose unroll then takes
+    their place, and the next iteration allocates them again. The run
+    stops its workers when it ends, however it ends.
 
     A validation loss above ``DIVERGENCE_FACTOR`` times the
     pre-training one, or a NaN, raises ``TrainingDiverged`` at once. The
@@ -459,6 +466,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "usable_cpus": pol._usable_cpus(),
+            "block_workers": pol._worker_count(-(-tcfg.batch_size // pol.RECORD_BLOCK)),
             **{k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
     }
@@ -529,6 +537,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
         raise
     finally:
         metrics.close()
+        workspace.release()
 
     iterations_run = (target_iteration + 1) if reached else tcfg.max_iterations
     save_checkpoint(_train_records(params, optimizer))

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_pids
 
 from deephedge import checkpoint as ckpt
 from deephedge import contracts as ct
@@ -297,10 +299,11 @@ def test_train_writes_metrics_and_a_matching_checkpoint(tmp_path, toy_datasets, 
     # what the wall times depend on
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     environment = manifest["environment"]
-    assert environment.keys() == {"python", "numpy", "usable_cpus",
+    assert environment.keys() == {"python", "numpy", "usable_cpus", "block_workers",
                                   "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
     assert environment["numpy"] == np.__version__
     assert environment["usable_cpus"] == pol._usable_cpus() >= 1
+    assert environment["block_workers"] == 0   # a batch of 32 is one row block
 
 
 def _assert_initialization(cfg, checkpoint_path):
@@ -499,11 +502,16 @@ def test_probe_is_the_trace_of_the_per_path_gradient_covariance(toy_datasets, mo
     assert want > 0.0 and abs(got - want) <= 1e-10 * want
 
 
-def _two_block_config(name):
+def _two_block_raw():
     """TOY with 600 training paths, and a batch and a probe of 300 paths:
     two recorded row blocks each."""
     raw = _with("data.n_train", 600)
     raw["training"].update(batch_size=300, probe_paths=300, val_every=1)
+    return raw
+
+
+def _two_block_config(name):
+    raw = _two_block_raw()
     if name == "kfac":
         raw["optimizer"] = {"kfac": dict(TRAINING_KFAC)}
     return harness.build_config(raw, optimizer_override=name)
@@ -514,32 +522,113 @@ def two_block_datasets():
     return harness.build_datasets(_two_block_config("adam"))
 
 
+def _count_workers(monkeypatch, cpus):
+    """Give this process ``cpus`` usable CPUs; returns the list to which each
+    worker a workspace forks from now on appends its pid."""
+    forked = []
+    fork_workers = pol._fork_workers
+
+    def counted(caches, count, workers):
+        fork_workers(caches, count, workers)
+        forked.extend(pid for pid, _ in workers[len(workers) - count:])
+
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pol, "_fork_workers", counted)
+    return forked
+
+
 @pytest.mark.parametrize("name", ["adam", "kfac"])
 def test_training_does_not_depend_on_the_cpu_count(tmp_path, two_block_datasets, monkeypatch,
                                                    name):
     # The row blocks unrolled and swept inline on one CPU, and side by side
-    # on a pool, train alike.
+    # with a worker process, train alike, and the run stops its workers.
     cfg = _two_block_config(name)
     assert -(-cfg.training.batch_size // pol.RECORD_BLOCK) == 2
-    pools = []
-
-    class Pool(pol.ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
-
-    monkeypatch.setattr(pol, "ThreadPoolExecutor", Pool)
+    forked = _count_workers(monkeypatch, 1)
     runs = {}
     for cpus in (1, 4):
         monkeypatch.setattr(pol, "_usable_cpus", lambda cpus=cpus: cpus)
         runs[cpus] = harness.train(cfg, tmp_path / str(cpus), datasets=two_block_datasets)
+        manifest = json.loads((tmp_path / str(cpus) / "manifest.json").read_text())
+        assert manifest["environment"]["block_workers"] == min(cpus, 2) - 1
         if cpus == 1:
-            assert pools == []
-    assert pools and set(pools) == {2}
+            assert forked == []
+    # one worker per allocation: the batch's caches, the probe's, the batch's again
+    assert len(forked) == 3
     assert (_metrics_without_wall_ms(runs[1].metrics_path)
             == _metrics_without_wall_ms(runs[4].metrics_path))
     assert (Path(runs[1].checkpoint_path).read_bytes()
             == Path(runs[4].checkpoint_path).read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failure", ["DiffError", "TrainingDiverged"])
+def test_a_failed_run_leaves_no_worker(tmp_path, two_block_datasets, monkeypatch, failure):
+    # A run that stops on an error has forked workers for its batch (and
+    # its probe), and stopped and reaped them before the error reaches the
+    # caller.
+    cfg = _two_block_config("adam")
+    if failure == "DiffError":   # the batch's first step overflows in both row blocks
+        cfg = harness.build_config({**_two_block_raw(), "policy": {"head_scale": 1e6}},
+                                   optimizer_override="adam")
+        error, match = pol.DiffError, "non-finite action at step 0$"
+    else:
+        objective = harness.dataset_objective
+        calls = []
+
+        def nan_at_the_first_validation(*args):
+            calls.append(args)   # the first call is the pre-training baseline
+            return float("nan") if len(calls) == 2 else objective(*args)
+
+        monkeypatch.setattr(harness, "dataset_objective", nan_at_the_first_validation)
+        error, match = harness.TrainingDiverged, "loss nan at iteration 0 "
+    forked = _count_workers(monkeypatch, 2)
+    with pytest.raises(error, match=match):
+        harness.train(cfg, tmp_path, datasets=two_block_datasets)
+    assert forked and child_pids() == []
+
+
+KILLED_SCRIPT = """
+import sys
+from deephedge import harness, policy as pol
+pol._usable_cpus = lambda: 2
+harness.train(harness.build_config({raw!r}, optimizer_override="adam"), sys.argv[1])
+"""
+
+
+def _state(pid):
+    """A process's state letter from ``/proc``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
+def test_a_killed_run_leaves_no_worker_running(tmp_path):
+    # SIGKILL gives the run no chance to stop its worker: the worker sees
+    # EOF on its command pipe and exits within a second.
+    src = Path(__file__).resolve().parents[1] / "src"
+    raw = _two_block_raw()
+    raw["training"].update(max_iterations=100000, probe_every=0)
+    run = subprocess.Popen([sys.executable, "-c", KILLED_SCRIPT.format(raw=raw), str(tmp_path)],
+                           env=dict(os.environ, PYTHONPATH=str(src)),
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline, workers = time.monotonic() + 120.0, []
+        while not workers and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            for path in Path(f"/proc/{run.pid}/task").glob("*/children"):
+                workers += [int(pid) for pid in path.read_text().split()]
+        assert workers, "the run forked no worker"
+    finally:
+        run.kill()
+        run.wait()
+    deadline = time.monotonic() + 1.0
+    while any(_state(pid) not in (None, "Z") for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(_state(pid) in (None, "Z") for pid in workers)
 
 
 # A head 1e6 times the default overflows symexp at the first step: training

@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -11,6 +13,7 @@ from deephedge import contracts as ct
 from deephedge import diffcore as dc
 from deephedge import policy as pol
 from deephedge import rngstreams
+from conftest import child_pids
 from oracles import (central_diff_gradient_map, relative_gradient_error, tape_inner,
                      tape_rollout, tape_step)
 
@@ -414,9 +417,26 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
 
 
-def _unroll_on(monkeypatch, cpus, params, features, mask, s):
-    """Forward-only actions, recorded actions and sweep gradients with
-    ``cpus`` usable CPUs, and the thread count of each pool the unrolls made."""
+def _running(pid):
+    """Whether ``pid`` is a child of this process that has not exited."""
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:   # reaped already
+        return False
+
+
+def _worker_pids(result):
+    """The worker processes of a recorded unroll's workspace, each running."""
+    pids = [pid for pid, _ in result.workspace.workers]
+    assert all(_running(pid) for pid in pids)
+    return pids
+
+
+def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
+    """With ``cpus`` usable CPUs: forward-only actions; a recorded unroll's
+    actions, sweep gradients and layer inputs, and its path ``column``
+    swept alone; the thread count of each pool the unrolls made, and the
+    worker processes the recorded unroll forked, which its release stops."""
     pools = []
 
     class Pool(ThreadPoolExecutor):
@@ -428,75 +448,101 @@ def _unroll_on(monkeypatch, cpus, params, features, mask, s):
     monkeypatch.setattr(pol, "ThreadPoolExecutor", Pool)
     forward_only = pol.rollout(params, features, mask, record=False).actions
     recorded = pol.rollout(params, features, mask)
+    workers = _worker_pids(recorded)
     grads, _ = pol.reverse_sweep(recorded, s)
-    return forward_only, recorded.actions, grads, pools
+    alone = _sweep(recorded.path(column), s[column:column + 1])
+    got = (forward_only, recorded.actions, grads, _stacked_inputs(recorded)) + alone
+    recorded.workspace.release()
+    assert not any(_running(pid) for pid in workers)
+    return got, pools, len(workers)
+
+
+def _assert_bit_for_bit(got, want):
+    """Arrays, and dicts of arrays, equal bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, dict):
+            assert g.keys() == w.keys()
+            for name in w:
+                assert np.array_equal(g[name], w[name]), name
+        else:
+            assert np.array_equal(g, w)
 
 
 def test_threaded_row_blocks_give_the_serial_result(monkeypatch):
-    # Bit for bit: four row blocks, the last one short, inline on one CPU
-    # and on a pool of four threads switching as often as they can.
+    # Bit for bit: four forward-only row blocks, the last one short, inline
+    # on one CPU and on a pool of four threads switching as often as they
+    # can; seven recorded ones inline, and on three worker processes beside
+    # this one, layer inputs and a path of worker 1's block included.
     rng = np.random.default_rng(21)
     params = pol.init_params(ORACLE, rng)
     n = 3 * pol.ROW_BLOCK + 5
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     s = rng.normal(size=(n, 7, ORACLE.action_dim))
-    serial = _unroll_on(monkeypatch, 1, params, features, mask, s)
+    column = pol.RECORD_BLOCK + 3
+    serial, serial_pools, serial_workers = _unroll_on(monkeypatch, 1, params, features, mask,
+                                                      s, column)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = _unroll_on(monkeypatch, 4, params, features, mask, s)
+        split, pools, workers = _unroll_on(monkeypatch, 4, params, features, mask, s, column)
     finally:
         sys.setswitchinterval(interval)
-    assert (serial[3], threaded[3]) == ([], [4, 4, 4])   # forward-only, recorded, sweep
-    assert np.array_equal(threaded[0], serial[0])
-    assert np.array_equal(threaded[1], serial[1])
-    assert threaded[2].keys() == serial[2].keys()
-    for name, g in serial[2].items():
-        assert np.array_equal(threaded[2][name], g), name
+    assert (serial_pools, serial_workers) == ([], 0)
+    assert (pools, workers) == ([4], 3)   # the forward-only pool; the recorded unroll's workers
+    _assert_bit_for_bit(split, serial)
 
 
-def _recorded_on(monkeypatch, cpus, params, features, mask, s):
-    """``_sweep`` of a recorded unroll with ``cpus`` usable CPUs."""
+def _recorded_on(monkeypatch, cpus, params, features, mask, s, column):
+    """``_sweep`` of a recorded unroll with ``cpus`` usable CPUs, then of its
+    path ``column``, and the worker processes it forked, which its release
+    stops."""
     monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
-    return _sweep(pol.rollout(params, features, mask), s)
-
-
-def _assert_bit_for_bit(got, want):
-    assert np.array_equal(got[0], want[0])
-    for g, w in zip(got[1:], want[1:], strict=True):
-        assert g.keys() == w.keys()
-        for name in w:
-            assert np.array_equal(g[name], w[name]), name
+    result = pol.rollout(params, features, mask)
+    workers = _worker_pids(result)
+    got = _sweep(result, s) + _sweep(result.path(column), s[column:column + 1])
+    result.workspace.release()
+    assert not any(_running(pid) for pid in workers)
+    return got, len(workers)
 
 
 def test_threaded_sweep_gives_the_serial_result(monkeypatch):
     # Bit for bit: five recorded row blocks, the last one short, unrolled
-    # and swept inline on one CPU and on a pool of four threads.
+    # and swept inline on one CPU and on three workers beside this process,
+    # a path of worker 3's block included.
     rng = np.random.default_rng(23)
     params = pol.init_params(ORACLE, rng)
     n = 2 * pol.ROW_BLOCK + 5
     assert -(-n // pol.RECORD_BLOCK) == 5
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     s = rng.normal(size=(n, 7, ORACLE.action_dim))
-    _assert_bit_for_bit(_recorded_on(monkeypatch, 4, params, features, mask, s),
-                        _recorded_on(monkeypatch, 1, params, features, mask, s))
+    column = 3 * pol.RECORD_BLOCK + 1
+    split, workers = _recorded_on(monkeypatch, 4, params, features, mask, s, column)
+    serial, serial_workers = _recorded_on(monkeypatch, 1, params, features, mask, s, column)
+    assert (workers, serial_workers) == (3, 0)
+    _assert_bit_for_bit(split, serial)
 
 
 def test_threaded_sweeps_repeat_bit_for_bit(monkeypatch):
-    # Five unroll-and-sweep calls on four threads switching as often as
-    # they can give one result, and leave no pool thread behind.
+    # Five unroll-and-sweep calls into one workspace give one result on the
+    # same three workers, which its release stops; no thread is left.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
     rng = np.random.default_rng(24)
     params = pol.init_params(ORACLE, rng)
     n = 3 * pol.RECORD_BLOCK + 5
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     s = rng.normal(size=(n, 7, ORACLE.action_dim))
+    column = 3 * pol.RECORD_BLOCK + 4
     threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = [_recorded_on(monkeypatch, 4, params, features, mask, s) for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
+    workspace = pol.Workspace()
+    runs, workers = [], []
+    for _ in range(5):
+        result = pol.rollout(params, features, mask, workspace=workspace)
+        workers.append(_worker_pids(result))
+        runs.append(_sweep(result, s) + _sweep(result.path(column), s[column:column + 1]))
+    assert len(workers[0]) == 3 and all(w == workers[0] for w in workers)
+    workspace.release()
+    assert not any(_running(pid) for pid in workers[0])
     assert threading.active_count() == threads
     for run in runs[1:]:
         _assert_bit_for_bit(run, runs[0])
@@ -505,7 +551,8 @@ def test_threaded_sweeps_repeat_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("record", [False, True])
 def test_threaded_row_blocks_raise_the_first_blocks_error(monkeypatch, record):
     # Block 2 fails long before block 1, yet the error is block 1's, as in
-    # the serial loop, and no pool thread outlives a call.
+    # the serial loop, and no pool thread or worker outlives a call. Recorded,
+    # the failing blocks are 2 (a worker's) and 4 (this process's).
     monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
     rng = np.random.default_rng(22)
     params = pol.init_params(ORACLE, rng)
@@ -514,11 +561,86 @@ def test_threaded_row_blocks_raise_the_first_blocks_error(monkeypatch, record):
     threads = threading.active_count()
     pol.rollout(params, features, mask, record=record)
     assert threading.active_count() == threads
+    assert child_pids() == []
     features[pol.ROW_BLOCK + 7, 30] = np.nan
     features[2 * pol.ROW_BLOCK + 1, 1] = np.nan
     with pytest.raises(dc.DiffError, match="^non-finite action at step 30$"):
         pol.rollout(params, features, mask, record=record)
     assert threading.active_count() == threads
+    assert child_pids() == []
+
+
+def test_a_block_failing_in_a_worker_raises_the_lowest_failing_blocks_error(monkeypatch):
+    # Four recorded blocks on this process and three workers: blocks 1 and 3
+    # fail in their workers, block 3 first, and the error is block 1's. A
+    # non-finite gradient in worker 2's block is named by the finite check
+    # on the sum. The workspace keeps its workers and gives the serial
+    # result after each failure.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
+    rng = np.random.default_rng(25)
+    params = pol.init_params(ORACLE, rng)
+    n = 4 * pol.RECORD_BLOCK
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=12)
+    s = rng.normal(size=(n, 12, ORACLE.action_dim))
+    bad = features.copy()
+    bad[pol.RECORD_BLOCK + 5, 9] = np.nan
+    bad[3 * pol.RECORD_BLOCK + 2, 1] = np.nan
+    workspace = pol.Workspace()
+    with pytest.raises(dc.DiffError, match="^non-finite action at step 9$"):
+        pol.rollout(params, bad, mask, workspace=workspace)
+    workers = [pid for pid, _ in workspace.workers]
+    assert len(workers) == 3 and all(_running(pid) for pid in workers)
+    result = pol.rollout(params, features, mask, workspace=workspace)
+    split = _sweep(result, s)
+    seed = s.copy()
+    seed[2 * pol.RECORD_BLOCK + 7, 0, 0] = np.inf
+    with pytest.raises(dc.DiffError, match="non-finite gradient of parameter 'embed'$"):
+        pol.reverse_sweep(result, seed)
+    _assert_bit_for_bit(_sweep(result, s), split)
+    assert [pid for pid, _ in workspace.workers] == workers
+    workspace.release()
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 1)
+    _assert_bit_for_bit(split, _sweep(pol.rollout(params, features, mask), s))
+
+
+def test_workers_live_exactly_as_long_as_their_caches(monkeypatch):
+    # Release, a reallocation, and the collection of a workspace each stop
+    # and reap its workers; a same-shape unroll keeps them. One row block,
+    # or one usable CPU, forks none.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(26)
+    params = pol.init_params(TINY, rng)
+    features, mask, _, _ = _random_problem(rng, TINY, n=2 * pol.RECORD_BLOCK, n_steps=3)
+    workspace = pol.Workspace()
+    first = _worker_pids(pol.rollout(params, features, mask, workspace=workspace))
+    assert len(first) == 1
+    assert _worker_pids(pol.rollout(params, features, mask, workspace=workspace)) == first
+    second = _worker_pids(pol.rollout(params, features[:-1], mask, workspace=workspace))
+    assert len(second) == 1 and not _running(first[0])
+    workspace.release()
+    assert workspace.workers == [] and not _running(second[0])
+    third = _worker_pids(pol.rollout(params, features, mask))   # a workspace of its own
+    assert len(third) == 1 and not _running(third[0])   # collected with its result
+    assert pol.rollout(params, features[:pol.RECORD_BLOCK], mask).workspace.workers == []
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 1)
+    assert pol.rollout(params, features, mask).workspace.workers == []
+
+
+def test_a_worker_exits_when_its_pipe_closes(monkeypatch):
+    # Nothing but EOF on its command pipe, as when this process dies.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 2)
+    rng = np.random.default_rng(27)
+    params = pol.init_params(TINY, rng)
+    features, mask, _, _ = _random_problem(rng, TINY, n=pol.RECORD_BLOCK + 1, n_steps=3)
+    workspace = pol.Workspace()
+    pol.rollout(params, features, mask, workspace=workspace)
+    (pid, conn), = workspace.workers
+    conn.close()
+    deadline = time.monotonic() + 10.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
+    workspace.release()
 
 
 def test_rollout_validates_shapes():
