@@ -121,12 +121,14 @@ class ExperimentConfig:
 
     def identity_hash(self) -> int:
         """Hash of every field but the optimizer's: the choice and settings
-        are excluded so paired runs share checkpoints, and the iteration
-        budget so a run can be resumed to a longer one."""
+        are excluded so paired runs share checkpoints, and the stopping
+        rules, the iteration budget and the validation target, so a run can
+        be resumed to a longer budget or with another target."""
         d = asdict(self)
         for key in ("optimizer_name", "kfac", "adam"):
             d.pop(key)
-        d["training"].pop("max_iterations")
+        for key in ("max_iterations", "val_target"):
+            d["training"].pop(key)
         return ckpt.config_hash(d)
 
 
@@ -394,7 +396,7 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     model from the batch's layer inputs and one pseudo-path drawn from the
     batch, read from the batch's caches, and the optimizer steps on the
     batch gradient. The run records every batch into one
-    ``policy.Workspace``, so the caches (about 275 MB at a batch of 512
+    ``policy.Workspace``, so the caches (about 175 MB at a batch of 512
     and 63 steps) are allocated once, not per iteration, with the worker
     processes that unroll and sweep all row blocks but the first (one at
     a batch of 512 on two CPUs; ``block_workers`` in the manifest); it

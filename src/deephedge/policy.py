@@ -26,11 +26,18 @@ the batch, copied out of its caches by :meth:`RolloutResult.path`. Each
 weight gradient is the sum over steps of pre-activation gradients times
 layer inputs, the identity the Kronecker factors rest on; a capturing
 sweep returns a block's pre-activation gradients as one (T, out, paths)
-array. The generic tape of :mod:`deephedge.diffcore` is the reference the
-tests check the sweep against. Nothing that trains, validates or
-evaluates loads it: only the tests, the benchmark's tracer and
-:func:`deephedge.contracts.batch_objective` do, and it takes
-:class:`DiffError` and ``RMS_EPS`` from this module.
+array. The caches keep per step only what the sweep cannot rebuild
+exactly: the embedding's input, RMSNorm's r, the gates, each cell's
+state and symexp's derivative. Each cell's h, its input and tanh of its
+state, and the residual stream, are exact functions of those and the
+parameters, which the sweep and :meth:`RolloutResult.step_inputs`
+recompute with the forward's own ufuncs on the same operands (selective
+recomputation, Chen et al. 2016, arXiv:1604.06174), so they are bit for
+bit what the forward computed. The generic tape of
+:mod:`deephedge.diffcore` is the reference the tests check the sweep
+against. Nothing that trains, validates or evaluates loads it: only the
+tests, the benchmark's tracer and :func:`deephedge.contracts.batch_objective`
+do, and it takes :class:`DiffError` and ``RMS_EPS`` from this module.
 
 Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
 training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
@@ -153,24 +160,30 @@ def _columns(rows: int) -> int:
 class _Caches:
     """One row block's buffers, time-major and feature-major: (slot, ...,
     features, columns). A recorded unroll keeps step t in slot t, and the
-    recurrent values it hands to step t + 1 (the action, each cell's h and
-    c) in slot t + 1 of ``x_in``, ``aug`` and ``c``, so only those three
-    have a slot T. The residual stream has no time slot: it is the
-    embedding of ``x_in[t]`` plus the blocks' h in ``aug[t + 1]``, so
-    :meth:`stream` rebuilds a step's stream exactly, and cheaply, where
-    the sweep needs it. A forward-only unroll has one time slot,
-    overwritten every step, and its blocks share one block slot for r,
-    the gates, tanh(c) and the residual stream after each block, so its
-    buffers stay in cache."""
+    recurrent values it hands to step t + 1 (the action and each cell's
+    c) in slot t + 1 of ``x_in`` and ``c``, so only those two have a slot
+    T. Everything else the sweep reads is an exact function of these:
+    each cell's h at step t is o_t tanh(c[t + 1]) (:meth:`cell_output`),
+    the residual stream is the embedding of ``x_in[t]`` plus the blocks' h
+    (:meth:`stream`), and a cell's input is [stream r gain; h_prev; 1].
+    So ``res``, ``aug`` and ``tanh_c`` have no time slot: the forward
+    overwrites them every step, and the sweep and
+    :meth:`RolloutResult.step_inputs` rebuild those values, bit for bit,
+    with the forward's ufuncs on the same C-contiguous (H, cols) operands:
+    one tanh and two multiplies per cell and step, against 36% of a
+    recorded block's memory. A forward-only
+    unroll has one time slot for all buffers, and its blocks share one
+    block slot for r, the gates and the residual stream after each block,
+    so its buffers stay in cache."""
 
     rows: int
     x_in: np.ndarray    # (T + 1, f + d + 1, cols): [features; u_prev; 1], the embedding's input
     res: np.ndarray     # (B + 1, H + 1, cols): [residual stream; 1] into each block and the head
     r: np.ndarray       # (T, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
-    aug: np.ndarray     # (T + 1, B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input
+    aug: np.ndarray     # (B, 2H + 1, cols): [normed x; h_prev; 1], each cell's input, this step's
     gates: np.ndarray   # (T, B, 4H, cols): sigmoid(i, f, o), then tanh(g)
     c: np.ndarray       # (T + 1, B, H, cols): each cell's state before the step
-    tanh_c: np.ndarray  # (T, B, H, cols): tanh of the state after it
+    tanh_c: np.ndarray  # (H, cols): tanh of a cell's new state, the forward's scratch
     e: np.ndarray       # (T, d, cols): exp(|head output|), the derivative of symexp
 
     @classmethod
@@ -185,10 +198,10 @@ class _Caches:
         shapes = {"x_in": (carried, config.n_features + d + 1, cols),
                   "res": (blocks + 1, h_dim + 1, cols),
                   "r": (steps, blocks, cols),
-                  "aug": (carried, n_blocks, 2 * h_dim + 1, cols),
+                  "aug": (n_blocks, 2 * h_dim + 1, cols),
                   "gates": (steps, blocks, 4 * h_dim, cols),
                   "c": (carried, n_blocks, h_dim, cols),
-                  "tanh_c": (steps, blocks, h_dim, cols),
+                  "tanh_c": (h_dim, cols),
                   "e": (steps, d, cols)}
         if shared:
             sizes = [math.prod(shape) for shape in shapes.values()]
@@ -206,47 +219,48 @@ class _Caches:
         """Set what the unroll does not write, whatever the buffers held:
         the first step's recurrent inputs (u_prev, h_prev, c) are zero, the
         pad columns' features are zero and the bias rows are one, as are
-        the last slot's features and normed inputs, which no step reads.
-        Every other value is written before it is read, so after an unroll
-        the buffers hold a function of its inputs alone."""
-        for carried in (self.x_in, self.aug, self.c):
+        the last slot's features, which no step reads. Every other value is
+        written before it is read, so after an unroll the buffers hold a
+        function of its inputs alone."""
+        for carried in (self.x_in, self.c):
             carried[0] = 0.0
             carried[-1] = 0.0
+        self.aug[...] = 0.0
         self.x_in[:, :n_feat, self.rows:] = 0.0
         for ones in (self.x_in, self.res, self.aug):
             ones[..., -1, :] = 1.0
 
-    def stream(self, embed: np.ndarray, t: int) -> np.ndarray:
-        """Step ``t``'s residual stream, rebuilt into ``res`` with the
-        forward's own arithmetic (the embedding's matrix product, then each
-        block's h added in turn), so bit for bit what the forward built."""
+    def cell_output(self, t: int, b: int, tanh_c: np.ndarray, h: np.ndarray) -> None:
+        """Cell ``b``'s state after step ``t`` through tanh, into the (H,
+        cols) ``tanh_c``, and its h at step ``t``, o_t tanh(c), into ``h``:
+        the forward's ufuncs on the same operands, so bit for bit what it
+        computed."""
+        h_dim = self.c.shape[2]
+        np.tanh(self.c[t + 1, b], out=tanh_c)
+        np.multiply(self.gates[t, b, 2 * h_dim:3 * h_dim], tanh_c, out=h)
+
+    def stream(self, embed: np.ndarray, t: int, h: np.ndarray) -> np.ndarray:
+        """Step ``t``'s residual stream, rebuilt into ``res`` from each
+        block's (H, cols) h at the step in ``h`` with the forward's own
+        arithmetic (the embedding's matrix product, then each block's h
+        added in turn), so bit for bit what the forward built."""
         h_dim = self.res.shape[1] - 1
         np.matmul(embed, self.x_in[t], out=self.res[0, :h_dim])
-        for b in range(self.res.shape[0] - 1):
-            np.add(self.res[b, :h_dim], self.aug[t + 1, b, h_dim:2 * h_dim],
-                   out=self.res[b + 1, :h_dim])
+        for b, h_b in enumerate(h):
+            np.add(self.res[b, :h_dim], h_b, out=self.res[b + 1, :h_dim])
         return self.res
 
-    def step_inputs(self, embed: np.ndarray, t: int) -> dict[str, np.ndarray]:
-        """Each Kronecker block's bias-augmented (in + 1, rows) input at
-        step ``t``: views of the caches but for the head's, rebuilt from the
-        step's stream into an array of its own."""
-        rows = self.rows
-        out = {"embed": self.x_in[t, :, :rows]}
-        for b in range(self.aug.shape[1]):
-            out[f"block{b}.lstm"] = self.aug[t, b, :, :rows]
-        out["head"] = self.stream(embed, t)[-1, :, :rows].copy()
-        return out
-
     def column(self, j: int) -> "_Caches":
-        """Column ``j`` as a one-path block: a copy of it in column 0 of
-        buffers padded with zero columns to ``COLUMN_GROUP``."""
+        """Column ``j`` as a one-path block: a copy of it, in column 0 of
+        buffers padded with zero columns to ``COLUMN_GROUP``, of all but
+        ``aug`` and ``tanh_c``, which only the forward reads."""
         one = {}
         for f in fields(self):
             if f.name != "rows":
                 src = getattr(self, f.name)
                 one[f.name] = np.zeros(src.shape[:-1] + (COLUMN_GROUP,))
-                one[f.name][..., 0] = src[..., j]
+                if f.name not in ("aug", "tanh_c"):
+                    one[f.name][..., 0] = src[..., j]
         return _Caches(rows=1, **one)
 
 
@@ -254,12 +268,15 @@ class Workspace:
     """The buffers of recorded unrolls, reused from one unroll to the next,
     and the worker processes that unroll and sweep their row blocks.
 
-    The caches are allocated once per shape: an unroll of the same policy
-    shape, step count and path count writes over the previous one's, with
-    no fresh allocation, and any other unroll reallocates them. Sweeping or
-    reading the previous result would then read the new unroll, so an
-    unroll into the workspace, or :meth:`release`, invalidates every result
-    recorded into it before: :func:`reverse_sweep`, ``step_inputs`` and
+    The caches (:class:`_Caches`) hold, per step, what the sweep cannot
+    rebuild exactly: 175 MB at a batch of 512, 63 steps and the desk's
+    9 instruments, 0.36 GB at 126 steps and 20. They are allocated once
+    per shape: an unroll of the same policy shape, step count and path
+    count writes over the previous one's, with no fresh allocation, and
+    any other unroll reallocates them. Sweeping or reading the previous
+    result would then read the new unroll, so an unroll into the
+    workspace, or :meth:`release`, invalidates every result recorded into
+    it before: :func:`reverse_sweep`, ``step_inputs`` and
     ``path`` refuse them; a sweep's (T, out, paths) captures are its own
     arrays and stay valid. The workspace holds nothing between unrolls that
     an unroll reads: each one resets what its forward reads before it
@@ -336,19 +353,13 @@ class RolloutResult:
         return self.caches
 
     def step_inputs(self) -> Iterator[dict[str, np.ndarray]]:
-        """Step by step, each Kronecker block's (in + 1, n) inputs: one row
-        block's are views of the caches, but for the head's, rebuilt from
-        the step's residual stream; several are joined along the paths, one
-        step at a time, so the matrices are bit for bit the same whatever
-        the row blocks. A stale result is refused at the call."""
-        caches, embed = self.recorded(), self.params.values["embed"]
-
-        def joined(t: int) -> dict[str, np.ndarray]:
-            parts = [cache.step_inputs(embed, t) for cache in caches]
-            return parts[0] if len(parts) == 1 else {
-                name: np.concatenate([p[name] for p in parts], axis=1) for name in parts[0]}
-
-        return map(joined, range(caches[0].e.shape[0]))
+        """Step by step, each Kronecker block's (in + 1, n) inputs, in
+        arrays of the step's own: the cells' and the head's rebuilt, going
+        forward, from the caches and the gains of ``params``, with the
+        sweep's arithmetic, the row blocks' side by side, so the matrices
+        are bit for bit the same whatever the row blocks. A stale result is
+        refused at the call."""
+        return _step_inputs(self.recorded(), self.params, self.actions.shape[0])
 
     def path(self, i: int) -> "RolloutResult":
         """Path ``i`` as a one-path recorded unroll, copied out of the
@@ -361,6 +372,42 @@ class RolloutResult:
         return RolloutResult(params=self.params, mask=self.mask,
                              actions=self.actions[i:i + 1],
                              caches=[self.recorded()[block].column(j)])
+
+
+def _step_inputs(caches: list[_Caches], params: PolicyParams,
+                 n: int) -> Iterator[dict[str, np.ndarray]]:
+    """The generator behind :meth:`RolloutResult.step_inputs`: one step's
+    (in + 1, n) arrays at a time, each row block writing its columns. A
+    block carries its cells' h from step to step: h_{t-1} goes into the
+    cells' inputs at step t, then h_t = o_t tanh(c[t + 1]) replaces it
+    and builds the step's stream."""
+    config, embed = params.config, params.values["embed"]
+    h_dim, n_blocks = config.hidden, config.n_blocks
+    gains = _gain_planes(params.values, _plane_buffers(config, caches[0].e.shape[-1]))
+    hs = [np.zeros(cache.c.shape[1:]) for cache in caches]   # (B, H, cols), zero before step 0
+    scratch = [np.empty(cache.tanh_c.shape) for cache in caches]
+    for t in range(caches[0].e.shape[0]):
+        x_in = np.empty((caches[0].x_in.shape[1], n))
+        cells = np.empty((n_blocks, 2 * h_dim + 1, n))
+        cells[:, -1] = 1.0
+        head = np.empty((h_dim + 1, n))
+        end = 0
+        for cache, h, buf in zip(caches, hs, scratch):
+            rows = cache.rows
+            cols, end = slice(end, end + rows), end + rows
+            x_in[:, cols] = cache.x_in[t, :, :rows]
+            cells[:, h_dim:2 * h_dim, cols] = h[..., :rows]
+            for b in range(n_blocks):
+                cache.cell_output(t, b, buf, h[b])
+            res = cache.stream(embed, t, h)
+            for b, gain in enumerate(gains):
+                buf[...] = cache.r[t, b]   # a plane, not a broadcast row: no temporary
+                normed = cells[b, :h_dim, cols]
+                np.multiply(res[b, :h_dim, :rows], buf[:, :rows], out=normed)
+                np.multiply(normed, gain[:, :rows], out=normed)
+            head[:, cols] = res[-1, :, :rows]
+        yield {"embed": x_in, **{f"block{b}.lstm": cells[b] for b in range(n_blocks)},
+               "head": head}
 
 
 def _usable_cpus() -> int:
@@ -607,7 +654,8 @@ def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.nda
     """One row block's forward arithmetic, fused and feature-major: its
     (rows, T, f) features in, recorded into ``cache`` when it has a slot
     per step, where step t's actions stay in slot t + 1 of ``x_in``, and
-    run forward-only in its single slot otherwise; the (rows, T, d)
+    run forward-only in its single slot otherwise; either way each cell's
+    input and tanh(c) have one slot (:class:`_Caches`). The (rows, T, d)
     actions are also written into ``out`` when given.
 
     The block's columns are padded with zero features to whole groups of
@@ -632,7 +680,7 @@ def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.nda
         np.matmul(values["embed"], x_in, out=xs)
         for b, (w, gain) in enumerate(zip(cells, gains)):
             kb = b if record else 0
-            aug, gates, r = cache.aug[now, b], cache.gates[now, kb], cache.r[now, kb]
+            aug, gates, r = cache.aug[b], cache.gates[now, kb], cache.r[now, kb]
             np.einsum("ij,ij->j", xs, xs, out=r)
             r /= h_dim
             r += RMS_EPS
@@ -645,12 +693,12 @@ def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.nda
             gates[:3 * h_dim] += 1.0
             gates[:3 * h_dim] *= 0.5
             i_g, f_g, o_g, g_g = _quarters(gates, h_dim)
-            c_new, tanh_c = cache.c[nxt, b], cache.tanh_c[now, kb]
+            c_new, tanh_c = cache.c[nxt, b], cache.tanh_c
             np.multiply(cache.c[now, b], f_g, out=c_new)
             np.multiply(i_g, g_g, out=tanh_c)
             c_new += tanh_c
             np.tanh(c_new, out=tanh_c)
-            h_new = cache.aug[nxt, b, h_dim:2 * h_dim]
+            h_new = aug[h_dim:2 * h_dim]   # the cell's input has been read: h_prev's rows take h
             np.multiply(o_g, tanh_c, out=h_new)
             xs_next = cache.res[kb + 1, :h_dim]
             np.add(xs, h_new, out=xs_next)   # residual: input plus cell output
@@ -678,6 +726,13 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     times step t's transposed ``result.step_inputs()`` is its weight
     gradient. Raises ``DiffError`` naming a parameter whose gradient is
     not finite.
+
+    The sweep rebuilds, a step ahead of where it reads them, the values
+    the caches do not keep: each cell's tanh(c), h and input, and the
+    residual stream. Each is the forward's ufunc on bit-identical
+    C-contiguous operands, so the gradients and captures are what the
+    caches of every value would give, for one tanh and two multiplies per
+    cell and step.
 
     Each row block is swept by :func:`_sweep_block`, on the unroll's
     workspace's worker processes and this one, as the forward ran them:
@@ -715,7 +770,16 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
     by column as the forward runs, so a path's pre-activation gradients do
     not depend on its batch: the block's (rows, T, d) seed in, its weight
     gradients summed over the steps from zero out, with its (T, out, rows)
-    captures when ``capture``."""
+    captures when ``capture``.
+
+    What the caches do not keep it rebuilds into buffers of its own, a
+    fixed number per cell, with the forward's arithmetic: going back from
+    step t, cell b's tanh(c[t + 1]) and h_t are at hand from the step
+    after (the first from ``c[T]``), step t's stream is rebuilt from its
+    cells' h_t, and once the cell is swept, tanh(c[t]) replaces tanh(c[t
+    + 1]) and gives h_{t - 1} (zero at t = 0), which goes into the cell's
+    input beside its normed rows (stream r gain), for its weight
+    gradient."""
     rows, n_steps, d = du.shape
     n_blocks, h_dim, cols = cache.c.shape[1], cache.c.shape[2], cache.e.shape[2]
     n_feat = cache.x_in.shape[1] - d - 1
@@ -734,7 +798,14 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
     d_aug = np.zeros((n_blocks, 2 * h_dim, cols))   # rows H: carry dL/dh_prev back
     d_c = np.zeros((n_blocks, h_dim, cols))          # dL/dc, carried back
     du_next = np.zeros((d, cols))                    # dL/du_prev, carried back
-    dh, tmp, row = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty(cols)
+    aug = np.empty((n_blocks, 2 * h_dim + 1, cols))  # each cell's input, rebuilt
+    aug[:, -1] = 1.0
+    h = aug[:, h_dim:2 * h_dim]   # each cell's h at the step, until the cell is swept
+    tanh_c = np.empty((n_blocks, h_dim, cols))       # tanh of each cell's state after the step
+    for b in range(n_blocks if n_steps else 0):      # the last step's, from c[T], if any
+        cache.cell_output(n_steps - 1, b, tanh_c[b], h[b])
+    dh, tmp, r_plane = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty((h_dim, cols))
+    row = np.empty(cols)
     # numpy's error state is a context variable, which a pool thread does not inherit
     with np.errstate(over="ignore", invalid="ignore"):
         for t in reversed(range(n_steps)):
@@ -744,17 +815,16 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
             g_u += du_next
             g_u *= mask[t][:, None]
             g_u *= cache.e[t]
-            res = cache.stream(values["embed"], t)
+            res = cache.stream(values["embed"], t, h)
             grads["head"] += g_u[:, :rows] @ res[-1, :, :rows].T
             np.matmul(head_in, g_u, out=dx)
             for b in reversed(range(n_blocks)):
-                gates, d_pre, dc_b = cache.gates[t, b], g_cell[slot, b], d_c[b]
+                gates, d_pre, dc_b, tanh_cb = cache.gates[t, b], g_cell[slot, b], d_c[b], tanh_c[b]
                 i_g, f_g, o_g, g_g = _quarters(gates, h_dim)
                 di, df, do, dg = _quarters(d_pre, h_dim)
-                tanh_c = cache.tanh_c[t, b]
                 np.add(dx, d_aug[b, h_dim:], out=dh)
                 # dL/dc: carried plus through h = o tanh(c)
-                np.multiply(tanh_c, tanh_c, out=tmp)
+                np.multiply(tanh_cb, tanh_cb, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 tmp *= dh
                 tmp *= o_g
@@ -767,23 +837,31 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
                 df *= dc_b
                 df *= cache.c[t, b]
                 do *= dh
-                do *= tanh_c
+                do *= tanh_cb
                 np.multiply(g_g, g_g, out=dg)
                 np.subtract(1.0, dg, out=dg)
                 dg *= dc_b
                 dg *= i_g
                 dc_b *= f_g
-                grads[lstm[b]] += d_pre[:, :rows] @ cache.aug[t, b, :, :rows].T
+                # the cell's input at the step: normed x beside h_{t - 1}
+                xs, r = res[b, :h_dim], cache.r[t, b]
+                r_plane[...] = r   # a plane, not a broadcast row: no temporary
+                np.multiply(xs, r_plane, out=tmp)
+                np.multiply(tmp, gains[b], out=aug[b, :h_dim])
+                if t:
+                    cache.cell_output(t - 1, b, tanh_cb, h[b])
+                else:
+                    h[b] = 0.0
+                grads[lstm[b]] += d_pre[:, :rows] @ aug[b, :, :rows].T
                 np.matmul(w_in[b], d_pre, out=d_aug[b])
                 # RMSNorm: normed = x r gain with r = 1 / sqrt(mean(x^2) + eps)
-                xs, r, d_norm = res[b, :h_dim], cache.r[t, b], d_aug[b, :h_dim]
-                np.multiply(xs, r, out=tmp)
+                d_norm = d_aug[b, :h_dim]
                 tmp *= d_norm
                 gain_grads[b] += tmp[:, :rows].sum(axis=1)
                 d_norm *= gains[b]
                 np.einsum("ij,ij->j", d_norm, xs, out=row)
                 row *= r ** 3 / h_dim
-                np.multiply(d_norm, r, out=tmp)
+                np.multiply(d_norm, r_plane, out=tmp)
                 dx += tmp
                 np.multiply(xs, row, out=tmp)
                 dx -= tmp

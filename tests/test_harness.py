@@ -170,7 +170,8 @@ def test_missing_section_is_named(key):
 
 
 # One leaf of each section the hash covers, then what it leaves out so that
-# paired runs share checkpoints and a run resumes to a longer budget.
+# paired runs share checkpoints and a run resumes to a longer budget or
+# another validation target.
 @pytest.mark.parametrize("path,value,hashed", [
     ("market.kappa", 4.0, True),
     ("market.dt", 1.0 / 252.0, True),
@@ -187,6 +188,7 @@ def test_missing_section_is_named(key):
     ("optimizer.kfac.tr_init", 1e-6, False),
     ("optimizer.adam.lr_peak", 1e-2, False),
     ("training.max_iterations", 50, False),
+    ("training.val_target", 0.05, False),
 ])
 def test_identity_hash_covers_all_but_the_optimizer_and_budget(path, value, hashed):
     base = harness.build_config(copy.deepcopy(TOY)).identity_hash()
@@ -430,6 +432,28 @@ def test_a_reached_validation_target_stops_the_run(tmp_path, toy_datasets, name)
     want = _resume_records(straight.checkpoint_path)
     assert got.keys() == want.keys()
     assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_a_resumed_run_takes_a_validation_target(tmp_path, toy_datasets):
+    # Three iterations without a target, whose validations (iterations 0
+    # and 2) stay above 0.17, then resumed to a budget of 8 with that
+    # target: the run stops where the straight run with it stops, at the
+    # validation of iteration 4 (loss 0.165), with its metrics and state.
+    target = 0.17
+    first = harness.train(_toy_config("adam", 3), tmp_path / "resumed", datasets=toy_datasets)
+    losses = [row.split(",")[2] for row in _metrics_without_wall_ms(first.metrics_path)[1:]]
+    assert all(float(loss) > target for loss in losses if loss)
+    resumed = harness.train(_toy_config("adam", 8, val_target=target), tmp_path / "resumed",
+                            resume_from=first.checkpoint_path, datasets=toy_datasets)
+    straight = harness.train(_toy_config("adam", 8, val_target=target), tmp_path / "straight",
+                             datasets=toy_datasets)
+    for result in (resumed, straight):
+        assert (result.reached_target, result.target_iteration, result.iterations_run) == (
+            True, 4, 5)
+    assert (_metrics_without_wall_ms(resumed.metrics_path)
+            == _metrics_without_wall_ms(straight.metrics_path))
+    assert (Path(resumed.checkpoint_path).read_bytes()
+            == Path(straight.checkpoint_path).read_bytes())
 
 
 @pytest.mark.parametrize("name", ["adam", "kfac"])

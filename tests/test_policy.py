@@ -392,7 +392,8 @@ def test_a_reused_workspace_allocates_almost_nothing():
 
 def test_a_recorded_unroll_keeps_no_residual_stream():
     # Every buffer at exactly its field's size: the residual stream has one
-    # slot per block, not one per step, and is rebuilt where it is read.
+    # slot per block, not one per step, and each cell's input and tanh(c)
+    # one slot, the cell's last; the sweep rebuilds them where it reads them.
     rng = np.random.default_rng(20)
     params = pol.init_params(ORACLE, rng)
     n, n_steps = 13, 7
@@ -401,9 +402,9 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
     result = pol.rollout(params, features, mask, workspace=workspace)
     h, d, f, b = ORACLE.hidden, ORACLE.action_dim, ORACLE.n_features, ORACLE.n_blocks
     per_column = {"x_in": (n_steps + 1) * (f + d + 1), "res": (b + 1) * (h + 1),
-                  "r": n_steps * b, "aug": (n_steps + 1) * b * (2 * h + 1),
+                  "r": n_steps * b, "aug": b * (2 * h + 1),
                   "gates": n_steps * b * 4 * h, "c": (n_steps + 1) * b * h,
-                  "tanh_c": n_steps * b * h, "e": n_steps * d}
+                  "tanh_c": h, "e": n_steps * d}
     (cache,) = workspace._caches
     sizes = {fl.name: getattr(cache, fl.name).nbytes for fl in fields(cache) if fl.name != "rows"}
     assert sizes == {name: 8 * k * 16 for name, k in per_column.items()}   # 13 paths, 16 columns
@@ -415,6 +416,57 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
         got = head_inputs[t].T
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), t
+
+
+def test_step_inputs_are_the_tapes_layer_inputs(monkeypatch):
+    # Every Kronecker block's inputs at every step, rebuilt going forward,
+    # are the tape's, with gains off their initial ones, across two recorded
+    # row blocks: step 0, where h_prev is zero, and the block boundary.
+    monkeypatch.setattr(pol, "RECORD_BLOCK", 8)
+    rng = np.random.default_rng(21)
+    params = pol.init_params(ORACLE, rng)
+    for b in range(ORACLE.n_blocks):
+        params.values[f"block{b}.gain"] = rng.uniform(0.5, 1.5, size=(1, ORACLE.hidden))
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=13, n_steps=7)
+    result = pol.rollout(params, features, mask)
+    assert [cache.rows for cache in result.caches] == [8, 5]
+    inputs = _stacked_inputs(result)
+    result.workspace.release()
+    tape = tape_rollout(params, features, mask, capture=True)
+    assert sorted(inputs) == sorted(params.kronecker_names)
+    for name, got in inputs.items():
+        for t, want in enumerate(tape.channels[name].activations):
+            assert got[t].T.shape == want.shape
+            assert np.abs(got[t].T - want).max() <= 1e-12 * np.abs(want).max(), (name, t)
+
+
+def test_a_sweep_allocates_a_fixed_number_of_planes_not_one_per_step():
+    # The default width, 128 paths, into a reused workspace: the sweep's
+    # rebuild of each cell's input and tanh(c) takes its buffers once per
+    # call, so its peak does not grow with the step count and stays below
+    # a few (4H, cols) planes per cell; one cell input per step would add
+    # 260 KB a step.
+    config = pol.PolicyConfig(action_dim=3)
+    rng = np.random.default_rng(22)
+    params = pol.init_params(config, rng)
+    workspace = pol.Workspace()
+
+    def peak_bytes(n_steps):
+        features, mask, _, _ = _random_problem(rng, config, n=128, n_steps=n_steps)
+        result = pol.rollout(params, features, mask, workspace=workspace)
+        seed = rng.normal(size=result.actions.shape)
+        pol.reverse_sweep(result, seed)
+        tracemalloc.start()
+        try:
+            pol.reverse_sweep(result, seed)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(9), peak_bytes(63)
+    plane = 4 * config.hidden * 128 * 8
+    assert abs(long - short) < 64 * 1024
+    assert long < 6 * config.n_blocks * plane
 
 
 def _running(pid):
