@@ -17,16 +17,16 @@ synchronization than it gains. The BLAS thread count cannot be changed
 once numpy has loaded; set it in the environment before start-up, e.g.
 ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does for each of its
 worker processes. The policy runs its row blocks side by side instead,
-each with its own single-threaded BLAS calls. A training batch's recorded
-unroll and its reverse sweep run in blocks of 256 paths
-(``policy.RECORD_BLOCK``) in worker processes that the run's workspace
-forks, so a batch of 512 takes two CPUs: the sweep's many small ufunc
-calls each release the GIL and take it back, which costs threads about a
-third of their time. Validation and evaluation run in blocks of 512
-(``policy.ROW_BLOCK``) on one thread per usable CPU, where matrix products
-take most of the time. The block size, not the CPU or worker count, sets
-the order of every sum, so results do not depend on those counts; wall
-time does, so ``manifest.json`` records both.
+each with its own single-threaded BLAS calls, in forked worker processes
+beside the calling one: the many small ufunc calls each release the GIL
+and take it back, which costs threads about a third of their time. A
+training batch's recorded unroll and its reverse sweep run in blocks of
+256 paths (``policy.RECORD_BLOCK``) on workers that the run's workspace
+forks with its caches, so a batch of 512 takes two CPUs. Validation and evaluation
+run in blocks of 512 (``policy.ROW_BLOCK``) on workers forked for each
+call and reaped before it returns. The block size, not the CPU or worker
+count, sets the order of every sum, so results do not depend on those
+counts; wall time does, so ``manifest.json`` records both.
 """
 
 from __future__ import annotations
@@ -236,6 +236,8 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
             raise
         raise ConfigError(f"invalid config: {exc}") from exc
     for opt in grid.entries:
+        if opt.tau_steps < 1:
+            raise ConfigError(f"grid option with tau={opt.tau_steps} matures in less than a step")
         if opt.tau_steps > cliquet.maturity:
             raise ConfigError(f"grid option with tau={opt.tau_steps} exceeds the horizon")
     if not (dt > 0.0 and substeps >= 1):

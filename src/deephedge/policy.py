@@ -41,20 +41,20 @@ do, and it takes :class:`DiffError` and ``RMS_EPS`` from this module.
 
 Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
 training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
-forward-only one (validation, evaluation). A forward-only unroll of
-several row blocks runs them on one thread per usable CPU: its blocks
-share nothing they write, and its time goes to matrix products, which
-release the GIL for their whole length. A recorded unroll of several row
-blocks, and its sweep, run them in worker processes instead, which its
-:class:`Workspace` forks, one fewer than ``min(blocks, usable CPUs)``,
-beside the calling process. Their time goes to small ufunc calls, each of
-which releases the GIL and takes it back, so two threads sweeping (32, 256)
-planes lost about a third of their time waiting for it; processes share
-only the caches, in anonymous shared memory. A block's arithmetic is its
-own wherever it runs, and the calling process adds the blocks' weight
-gradients in block order, so the block size, not the CPU count, sets the
-order of every sum, and the results do not depend on the number of
-threads or workers.
+forward-only one (validation, evaluation). Every unroll and sweep of
+several row blocks runs them the same way, through :func:`_run_blocks`:
+in worker processes, one fewer than ``min(blocks, usable CPUs)``, beside
+the calling process. A recorded unroll's :class:`Workspace` forks its
+workers with its caches and keeps them for its sweeps; a forward-only
+unroll forks its own for the call and reaps them before it returns. The
+time goes to small ufunc calls, each of which releases the GIL and takes
+it back, so two threads sweeping (32, 256) planes lost about a third of
+their time waiting for it; processes share only what the blocks write,
+the caches or the actions, in anonymous shared memory. A block's
+arithmetic is its own wherever it runs, and the calling process adds the
+blocks' weight gradients in block order, so the block size, not the CPU
+count, sets the order of every sum, and the results do not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ import os
 import signal
 import threading
 import weakref
-from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from multiprocessing.connection import Connection, Pipe
 from typing import ClassVar
@@ -94,6 +93,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden width must be at least 1")
+        if self.n_blocks < 1:
+            raise ValueError("n_blocks must be at least 1")
 
     def param_shapes(self) -> dict[str, tuple[int, int]]:
         h = self.hidden
@@ -139,13 +140,14 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> PolicyParams:
 
 # Paths per row block. A forward-only unroll (validation, evaluation,
 # checks) takes ROW_BLOCK: its (4H, 512) gates fit a core's L2 at H = 32,
-# and 256-path blocks made the 4,096-path evaluation 15-20% slower on two
-# threads, with the same actions. A recorded unroll (a training batch, the
-# probe, a pseudo-path) takes RECORD_BLOCK, so a desk batch of 512 is two
-# blocks, unrolled and swept on two cores: a desk iteration took about 20%
-# less, though on one thread two 256-path blocks take 10-25% longer
-# than one 512-path block. The block size, never the CPU count, sets the
-# order of every sum over blocks.
+# and on two CPUs (one worker beside the caller, one BLAS thread each) the
+# 4,096-path full-grid evaluation took 1,125 ms in 512-path blocks against
+# 1,328 ms in 256-path ones, with the same actions. A recorded unroll (a
+# training batch, the probe, a pseudo-path) takes RECORD_BLOCK, so a desk
+# batch of 512 is two blocks, unrolled and swept on two cores: a desk
+# iteration took about 20% less, though on one thread two 256-path blocks
+# take 10-25% longer than one 512-path block. The block size, never the
+# CPU count, sets the order of every sum over blocks.
 ROW_BLOCK = 512
 RECORD_BLOCK = 256
 COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in another order
@@ -154,6 +156,14 @@ COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in 
 def _columns(rows: int) -> int:
     """A block's columns: its rows padded to whole groups of ``COLUMN_GROUP``."""
     return -(-rows // COLUMN_GROUP) * COLUMN_GROUP
+
+
+def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array in anonymous shared memory, which a
+    forked worker writes and this process reads. The mapping holds one
+    element more than the array, since ``mmap`` refuses 0 bytes."""
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * (size + 1)), count=size).reshape(shape)
 
 
 @dataclass
@@ -203,15 +213,8 @@ class _Caches:
                   "c": (carried, n_blocks, h_dim, cols),
                   "tanh_c": (h_dim, cols),
                   "e": (steps, d, cols)}
-        if shared:
-            sizes = [math.prod(shape) for shape in shapes.values()]
-            flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)))
-            ends = np.cumsum(sizes)
-            arrays = {name: flat[end - size:end].reshape(shape)
-                      for (name, shape), size, end in zip(shapes.items(), sizes, ends)}
-        else:
-            arrays = {name: np.empty(shape) for name, shape in shapes.items()}
-        caches = cls(rows=rows, **arrays)
+        empty = _shared_empty if shared else np.empty
+        caches = cls(rows=rows, **{name: empty(shape) for name, shape in shapes.items()})
         caches.reset(config.n_features)
         return caches
 
@@ -417,24 +420,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(fn: Callable[[int], object], n_blocks: int) -> list:
-    """``[fn(k) for k in range(n_blocks)]``, one call per row block: on a
-    pool of ``min(n_blocks, usable CPUs)`` threads that lives only for this
-    call, or inline on the calling thread when that is one. The results
-    are collected in block order, so an error is the lowest failing
-    block's, as in the serial loop."""
-    workers = min(n_blocks, _usable_cpus())
-    if workers < 2:
-        return [fn(k) for k in range(n_blocks)]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, range(n_blocks)))
-
-
 def _worker_count(n_blocks: int) -> int:
-    """The workers a recorded unroll of ``n_blocks`` row blocks forks: one
-    fewer than ``min(n_blocks, usable CPUs)``, and none where this process
-    cannot fork safely: without ``os.fork``, or with a thread other than
-    the main one alive."""
+    """The workers an unroll of ``n_blocks`` row blocks forks: one fewer
+    than ``min(n_blocks, usable CPUs)``, and none where this process cannot
+    fork safely: without ``os.fork``, or with a thread other than the main
+    one alive."""
     if not hasattr(os, "fork") or threading.enumerate() != [threading.main_thread()]:
         return 0
     return min(n_blocks, _usable_cpus()) - 1
@@ -446,10 +436,10 @@ def _worker_count(n_blocks: int) -> int:
 _PARENT_ENDS: set[Connection] = set()
 
 
-def _fork_workers(caches: list[_Caches], count: int,
-                  workers: list[tuple[int, Connection]]) -> None:
-    """Fork ``count`` workers over ``caches``, appending each (pid, pipe) to
-    ``workers`` as it starts."""
+def _fork_workers(targets: list, count: int, workers: list[tuple[int, Connection]]) -> None:
+    """Fork ``count`` workers over ``targets``, what each row block writes
+    in place (a recorded unroll's caches, a forward-only one's action
+    rows), appending each (pid, pipe) to ``workers`` as it starts."""
     for _ in range(count):
         here, there = Pipe()
         try:
@@ -462,7 +452,7 @@ def _fork_workers(caches: list[_Caches], count: int,
             try:
                 for end in (here, *_PARENT_ENDS):
                     end.close()
-                _serve(there, caches)
+                _serve(there, targets)
             finally:
                 os._exit(0)   # never flush or close what this process inherited
         there.close()
@@ -487,9 +477,9 @@ def _stop_workers(workers: list[tuple[int, Connection]]) -> None:
             pass
 
 
-def _serve(conn: Connection, caches: list[_Caches]) -> None:
+def _serve(conn: Connection, targets: list) -> None:
     """A worker's loop: run the row blocks each command names over
-    ``caches`` and send back their results or the first failing block's
+    ``targets`` and send back their results or the first failing block's
     error, until a stop command or EOF. A worker ignores SIGINT, writes
     nothing to standard output or error, and never collects (so never
     flushes or closes) an object it inherited."""
@@ -506,34 +496,37 @@ def _serve(conn: Connection, caches: list[_Caches]) -> None:
             return
         if command is None:
             return
-        conn.send(_run_lane(caches, *command))
+        conn.send(_run_lane(targets, *command))
 
 
-def _run_lane(caches: list[_Caches], kind: str, common: tuple,
+def _run_lane(targets: list, fn, common: tuple,
               blocks: dict[int, tuple]) -> tuple[dict, tuple | None]:
-    """Run ``blocks`` (block: its own arguments) in block order through
-    ``_BLOCK_FNS[kind]``; returns their results and the first failure as
-    (block, error), or None."""
-    fn, done = _BLOCK_FNS[kind], {}
+    """Run ``blocks`` (block: its own arguments) in block order through the
+    module-level block function ``fn``, which a command carries by
+    reference; returns their results and the first failure as (block,
+    error), or None."""
+    done = {}
     for k, args in blocks.items():
         try:
-            done[k] = fn(caches[k], *args, *common)
+            done[k] = fn(targets[k], *args, *common)
         except Exception as exc:
             return done, (k, exc)
     return done, None
 
 
-def _run_blocks(workers: list[tuple[int, Connection]], caches: list[_Caches], kind: str,
-                common: tuple, per_block: list[tuple]) -> list:
-    """Every row block's result in block order: blocks k = w (mod lanes) on
-    worker w, the others here at the same time. Raises the lowest failing
-    block's error once every lane has answered; a call cut short, or a
-    worker that died, stops the workers, and the blocks run here after."""
+def _run_blocks(workers: list[tuple[int, Connection]], targets: list, fn, common: tuple,
+                per_block: list[tuple]) -> list:
+    """Every row block's ``fn(targets[k], *per_block[k], *common)`` in block
+    order, the one executor of every unroll and sweep: blocks k = w (mod
+    lanes) on worker w, the others here at the same time. Raises the lowest
+    failing block's error once every lane has answered, as the serial loop
+    would; a call cut short, or a worker that died, stops the workers, and
+    the blocks run here after."""
     lanes, n = len(workers) + 1, len(per_block)
     try:
         for lane, (_, conn) in enumerate(workers, 1):
-            conn.send((kind, common, {k: per_block[k] for k in range(lane, n, lanes)}))
-        done, failure = _run_lane(caches, kind, common,
+            conn.send((fn, common, {k: per_block[k] for k in range(lane, n, lanes)}))
+        done, failure = _run_lane(targets, fn, common,
                                   {k: per_block[k] for k in range(0, n, lanes)})
         failures = [failure]
         for _, conn in workers:
@@ -577,11 +570,14 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     results recorded into it before) and into a fresh one otherwise;
     ``record=False`` is the forward-only pass of evaluation and
     validation. Either raises ``DiffError`` naming the first step with a
-    non-finite action. Row blocks run side by side, with results that do
-    not depend on how many: ``ROW_BLOCK`` paths each on one thread per
-    usable CPU when forward-only, ``RECORD_BLOCK`` paths each in the
-    workspace's worker processes and this one when recording (see
-    :class:`Workspace`). The blocks' actions are joined in block order.
+    non-finite action. Row blocks run side by side through
+    :func:`_run_blocks`, in worker processes and this one, with results
+    that do not depend on how many: ``RECORD_BLOCK`` paths each on the
+    workspace's workers when recording (see :class:`Workspace`),
+    ``ROW_BLOCK`` paths each when forward-only, on workers forked for the
+    call once the actions are allocated in anonymous shared memory, where
+    each block writes its rows, and reaped before it returns, however it
+    returns.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -592,24 +588,25 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     if not record:
         if workspace is not None:
             raise ValueError("a forward-only unroll records nothing into a workspace")
+        actions = _shared_empty((n, n_steps, config.action_dim))
+        starts = range(0, n, ROW_BLOCK)
+        outs = [actions[r0:r0 + ROW_BLOCK] for r0 in starts]
         cells = _gate_weights(params.values, _gate_buffers(config))
         gains = _gain_planes(params.values, _plane_buffers(config, _columns(min(n, ROW_BLOCK))))
-        actions = np.empty((n, n_steps, config.action_dim))
-
-        def unroll(k: int) -> None:
-            rows = features[k * ROW_BLOCK:(k + 1) * ROW_BLOCK]
-            _unroll_block(_Caches.allocate(config, n_steps, rows.shape[0], record=False),
-                          rows, params.values, cells, gains, mask,
-                          out=actions[k * ROW_BLOCK:(k + 1) * ROW_BLOCK])
-
-        _map_blocks(unroll, -(-n // ROW_BLOCK))
+        workers: list[tuple[int, Connection]] = []
+        try:
+            _fork_workers(outs, _worker_count(len(outs)), workers)
+            _run_blocks(workers, outs, _forward_block, (config, params.values, cells, gains, mask),
+                        [(features[r0:r0 + ROW_BLOCK],) for r0 in starts])
+        finally:
+            _stop_workers(workers)
         return RolloutResult(params=params, mask=mask, actions=actions, caches=[])
     fresh = workspace is None
     workspace = workspace or Workspace()
     caches = workspace.caches(config, n_steps, n)
     starts = range(0, n, RECORD_BLOCK)
     try:
-        _run_blocks(workspace.workers, caches, "unroll",
+        _run_blocks(workspace.workers, caches, _unroll_block,
                     (params.values, _gate_weights(params.values, workspace.cells),
                      _gain_planes(params.values, workspace.gains), mask),
                     [(features[r0:r0 + RECORD_BLOCK],) for r0 in starts])
@@ -648,6 +645,16 @@ def _gain_planes(values: dict[str, np.ndarray], planes: list[np.ndarray]) -> lis
     return planes
 
 
+def _forward_block(out: np.ndarray, features: np.ndarray, config: PolicyConfig,
+                   values: dict[str, np.ndarray], cells: list[np.ndarray],
+                   gains: list[np.ndarray], mask: np.ndarray) -> None:
+    """One forward-only row block: :func:`_unroll_block` of its (rows, T, f)
+    features through buffers of its own, its (rows, T, d) actions into
+    ``out``."""
+    _unroll_block(_Caches.allocate(config, features.shape[1], features.shape[0], record=False),
+                  features, values, cells, gains, mask, out=out)
+
+
 def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.ndarray],
                   cells: list[np.ndarray], gains: list[np.ndarray], mask: np.ndarray,
                   out: np.ndarray | None = None) -> None:
@@ -666,7 +673,7 @@ def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.nda
     (:func:`_gate_weights`), and RMSNorm multiplies by the gain planes
     (:func:`_gain_planes`), sliced to the block's columns. The block reads
     only its arguments and writes only ``cache`` and ``out``, so it runs
-    alike on a thread, in a worker or inline.
+    alike in a worker or inline.
     """
     rows, n_steps, n_feat = features.shape
     h_dim, d, cols = cache.c.shape[2], cache.e.shape[1], cache.e.shape[2]
@@ -749,7 +756,8 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     values = result.params.values
     gains = _gain_planes(values, _plane_buffers(result.params.config, caches[0].e.shape[-1]))
     seeds = [(du[r0:r0 + RECORD_BLOCK],) for r0 in range(0, du.shape[0], RECORD_BLOCK)]
-    blocks = _run_blocks(workers, caches, "sweep", (values, gains, result.mask, capture), seeds)
+    blocks = _run_blocks(workers, caches, _sweep_block, (values, gains, result.mask, capture),
+                         seeds)
     grads = blocks[0][0]
     with np.errstate(over="ignore", invalid="ignore"):
         for block_grads, _ in blocks[1:]:
@@ -806,7 +814,7 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
         cache.cell_output(n_steps - 1, b, tanh_c[b], h[b])
     dh, tmp, r_plane = np.empty((h_dim, cols)), np.empty((h_dim, cols)), np.empty((h_dim, cols))
     row = np.empty(cols)
-    # numpy's error state is a context variable, which a pool thread does not inherit
+    # here, where the block runs: a worker's numpy error state is not the caller's
     with np.errstate(over="ignore", invalid="ignore"):
         for t in reversed(range(n_steps)):
             slot = t if capture else 0
@@ -871,7 +879,3 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
                  **{name: g_cell[:, b, :, :rows] for b, name in enumerate(lstm)},
                  "head": g_head[..., :rows]} if capture else None)
     return grads, captured
-
-
-# What a row block runs, by the name a command gives it.
-_BLOCK_FNS = {"unroll": _unroll_block, "sweep": _sweep_block}

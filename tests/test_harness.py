@@ -124,6 +124,13 @@ def test_toy_config_builds():
     ("optimizer.kfac.tr_decay", 0.0),
     ("optimizer.kfac.shrinkage", 1.0),
     ("cliquet.resets", [14, 7, 21]),
+    # no residual block: the head read a buffer no block wrote, and a
+    # negative count failed inside numpy
+    ("policy.n_blocks", 0),
+    ("policy.n_blocks", -1),
+    # an option maturing in less than a step failed inside the pricer
+    ("grid", {0: [1.0]}),
+    ("grid", {-3: [1.0]}),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):

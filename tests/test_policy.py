@@ -1,9 +1,7 @@
 import os
-import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -484,21 +482,31 @@ def _worker_pids(result):
     return pids
 
 
+def _forks(monkeypatch):
+    """The list to which each later call of ``policy._fork_workers`` appends
+    the pids of the workers it forked."""
+    forks = []
+    fork_workers = pol._fork_workers
+
+    def counted(targets, count, workers):
+        fork_workers(targets, count, workers)
+        forks.append([pid for pid, _ in workers[len(workers) - count:]])
+
+    monkeypatch.setattr(pol, "_fork_workers", counted)
+    return forks
+
+
 def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
     """With ``cpus`` usable CPUs: forward-only actions; a recorded unroll's
     actions, sweep gradients and layer inputs, and its path ``column``
-    swept alone; the thread count of each pool the unrolls made, and the
-    worker processes the recorded unroll forked, which its release stops."""
-    pools = []
-
-    class Pool(ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
-
+    swept alone; the workers the forward-only unroll forked, each reaped
+    before it returned, and those the recorded unroll forked, which its
+    release stops."""
     monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pol, "ThreadPoolExecutor", Pool)
+    forks = _forks(monkeypatch)
     forward_only = pol.rollout(params, features, mask, record=False).actions
+    (forward_workers,) = forks
+    assert not any(_running(pid) for pid in forward_workers)
     recorded = pol.rollout(params, features, mask)
     workers = _worker_pids(recorded)
     grads, _ = pol.reverse_sweep(recorded, s)
@@ -506,7 +514,7 @@ def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
     got = (forward_only, recorded.actions, grads, _stacked_inputs(recorded)) + alone
     recorded.workspace.release()
     assert not any(_running(pid) for pid in workers)
-    return got, pools, len(workers)
+    return got, len(forward_workers), len(workers)
 
 
 def _assert_bit_for_bit(got, want):
@@ -523,25 +531,19 @@ def _assert_bit_for_bit(got, want):
 
 def test_threaded_row_blocks_give_the_serial_result(monkeypatch):
     # Bit for bit: four forward-only row blocks, the last one short, inline
-    # on one CPU and on a pool of four threads switching as often as they
-    # can; seven recorded ones inline, and on three worker processes beside
-    # this one, layer inputs and a path of worker 1's block included.
+    # on one CPU and on three workers forked for the call beside this
+    # process; seven recorded ones inline, and on the three workers of their
+    # workspace, layer inputs and a path of worker 1's block included.
     rng = np.random.default_rng(21)
     params = pol.init_params(ORACLE, rng)
     n = 3 * pol.ROW_BLOCK + 5
     features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=7)
     s = rng.normal(size=(n, 7, ORACLE.action_dim))
     column = pol.RECORD_BLOCK + 3
-    serial, serial_pools, serial_workers = _unroll_on(monkeypatch, 1, params, features, mask,
-                                                      s, column)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        split, pools, workers = _unroll_on(monkeypatch, 4, params, features, mask, s, column)
-    finally:
-        sys.setswitchinterval(interval)
-    assert (serial_pools, serial_workers) == ([], 0)
-    assert (pools, workers) == ([4], 3)   # the forward-only pool; the recorded unroll's workers
+    serial, *serial_workers = _unroll_on(monkeypatch, 1, params, features, mask, s, column)
+    split, *workers = _unroll_on(monkeypatch, 4, params, features, mask, s, column)
+    assert serial_workers == [0, 0]
+    assert workers == [3, 3]   # the forward-only call's; the recorded unroll's
     _assert_bit_for_bit(split, serial)
 
 
@@ -603,8 +605,9 @@ def test_threaded_sweeps_repeat_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("record", [False, True])
 def test_threaded_row_blocks_raise_the_first_blocks_error(monkeypatch, record):
     # Block 2 fails long before block 1, yet the error is block 1's, as in
-    # the serial loop, and no pool thread or worker outlives a call. Recorded,
-    # the failing blocks are 2 (a worker's) and 4 (this process's).
+    # the serial loop, and no thread or worker outlives a call. Forward-only,
+    # the failing blocks are workers 1 and 2's; recorded, 2 (a worker's) and
+    # 4 (this process's).
     monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
     rng = np.random.default_rng(22)
     params = pol.init_params(ORACLE, rng)
@@ -620,6 +623,44 @@ def test_threaded_row_blocks_raise_the_first_blocks_error(monkeypatch, record):
         pol.rollout(params, features, mask, record=record)
     assert threading.active_count() == threads
     assert child_pids() == []
+
+
+def test_a_forward_only_unroll_leaves_a_workspaces_workers_alone(monkeypatch):
+    # Three forward-only row blocks fork two workers of their own while a
+    # recorded workspace holds its three; they close the workspace's pipe
+    # ends, exit without touching its workers, and are reaped before the
+    # call returns, so the workspace's workers and caches serve on.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
+    rng = np.random.default_rng(28)
+    params = pol.init_params(ORACLE, rng)
+    n = 3 * pol.RECORD_BLOCK + 5
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=n, n_steps=6)
+    s = rng.normal(size=(n, 6, ORACLE.action_dim))
+    result = pol.rollout(params, features, mask)
+    workers = sorted(_worker_pids(result))
+    before = _sweep(result, s)
+    forks = _forks(monkeypatch)
+    evaluated, _, _, _ = _random_problem(rng, ORACLE, n=3 * pol.ROW_BLOCK, n_steps=6)
+    actions = pol.rollout(params, evaluated, mask, record=False).actions
+    assert [len(pids) for pids in forks] == [2]
+    assert sorted(child_pids()) == workers and sorted(_worker_pids(result)) == workers
+    _assert_bit_for_bit(_sweep(result, s), before)
+    result.workspace.release()
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 1)
+    assert np.array_equal(actions, pol.rollout(params, evaluated, mask, record=False).actions)
+
+
+@pytest.mark.parametrize("n,n_steps", [(0, 5), (pol.ROW_BLOCK + 3, 0)])
+def test_an_empty_forward_only_unroll_has_the_empty_shape(monkeypatch, n, n_steps):
+    # No paths, or no steps: an empty action array, whose shared mapping
+    # must not be of 0 bytes, which mmap refuses.
+    monkeypatch.setattr(pol, "_usable_cpus", lambda: 4)
+    rng = np.random.default_rng(29)
+    params = pol.init_params(TINY, rng)
+    features = rng.normal(size=(n, n_steps, TINY.n_features))
+    mask = np.ones((n_steps, TINY.action_dim))
+    actions = pol.rollout(params, features, mask, record=False).actions
+    assert actions.shape == (n, n_steps, TINY.action_dim)
 
 
 def test_a_block_failing_in_a_worker_raises_the_lowest_failing_blocks_error(monkeypatch):
