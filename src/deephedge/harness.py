@@ -22,11 +22,13 @@ beside the calling one: the many small ufunc calls each release the GIL
 and take it back, which costs threads about a third of their time. A
 training batch's recorded unroll and its reverse sweep run in blocks of
 256 paths (``policy.RECORD_BLOCK``) on workers that the run's workspace
-forks with its caches, so a batch of 512 takes two CPUs. Validation and evaluation
-run in blocks of 512 (``policy.ROW_BLOCK``) on workers forked for each
-call and reaped before it returns. The block size, not the CPU or worker
-count, sets the order of every sum, so results do not depend on those
-counts; wall time does, so ``manifest.json`` records both.
+forks with its caches, once per run, so a batch of 512 takes two CPUs;
+KFAC's pseudo-path and the gradient-variance probe read the batch's own
+caches and sweep their copies in the training process. Validation and
+evaluation run in blocks of 512 (``policy.ROW_BLOCK``) on workers forked
+for each call and reaped before it returns. The block size, not the CPU
+or worker count, sets the order of every sum, so results do not depend
+on those counts; wall time does, so ``manifest.json`` records both.
 """
 
 from __future__ import annotations
@@ -248,6 +250,9 @@ def build_config(raw: dict, optimizer_override: str | None = None) -> Experiment
         raise ConfigError("batch_size must be at least 2")
     if dcfg.n_train < tcfg.batch_size:
         raise ConfigError("n_train must be at least one batch")
+    if tcfg.probe_paths > tcfg.batch_size:
+        raise ConfigError(f"probe_paths ({tcfg.probe_paths}) must be at most batch_size "
+                          f"({tcfg.batch_size}): the probe reads the batch's rows")
     return ExperimentConfig(
         market=market, dt=dt, substeps=substeps, grid=grid, cliquet=cliquet,
         costs=costs, risk_aversion=gamma, policy=policy_cfg, optimizer_name=name,
@@ -329,30 +334,33 @@ def dataset_objective(params: pol.PolicyParams, ds: Dataset, gamma: float,
     return ct.objective_value(actions, ds.returns, ds.payoff, gamma, costs)
 
 
-def probe_gradient_variance(params: pol.PolicyParams, ds: Dataset, gamma: float,
-                            costs: ct.CostSpec, n_probe: int) -> float:
-    """Trace of the empirical covariance of single-path gradient estimates.
+def probe_gradient_variance(result: pol.RolloutResult, du: np.ndarray, n_probe: int) -> float:
+    """Trace of the empirical covariance of single-path gradient estimates,
+    over the first ``n_probe`` rows of a training batch: ``result`` is its
+    recorded unroll and ``du`` its objective's seed dL/du.
 
-    The probe batch is the first ``n_probe`` paths of the dataset. Each
-    path's contribution to the batch gradient, scaled by the batch size,
-    estimates a single-sample gradient; the per-step layer inputs and
-    pre-activation gradients reconstruct the per-path weight gradients, so
-    the metric covers the Kronecker-block parameters (weight matrices).
+    Each row's contribution to the batch gradient, times the batch size n,
+    estimates a single-sample gradient at the batch's parameters. The
+    probe copies the rows out of the caches ``COLUMN_GROUP`` at a time
+    (:meth:`deephedge.policy.RolloutResult.paths`) and sweeps each group
+    with capture, seeded with n times its rows of ``du``; a row's weight
+    gradient is the sum over steps of its pre-activation gradients times
+    its layer inputs, one batched matrix product per Kronecker block. The
+    metric covers the Kronecker-block parameters (weight matrices). Raises
+    ``DiffError`` naming a parameter whose gradient is not finite.
     """
-    n = min(n_probe, ds.n_paths)
-    res = pol.rollout(params, ds.features[:n], ds.mask)
-    du = ct.objective_gradient(res.actions, ds.returns[:n], ds.payoff[:n], gamma, costs)
-    _, captured = pol.reverse_sweep(res, du, capture=True)
-    steps = list(res.step_inputs())
-    sq_sum = 0.0
-    mean_sq = 0.0
-    for name, g in captured.items():                            # (T, out, n)
-        a_stack = np.stack([inputs[name].T for inputs in steps])   # (T, n, in+1)
-        per_path = np.einsum("tpo,tpi->poi", g.transpose(0, 2, 1), a_stack) * n
-        sq_sum += float((per_path ** 2).sum())
-        mean_grad = per_path.mean(axis=0)
-        mean_sq += float((mean_grad ** 2).sum())
-    return (sq_sum / n - mean_sq) * n / (n - 1)
+    sq_sum, sums = 0.0, {}
+    for start in range(0, n_probe, pol.COLUMN_GROUP):
+        stop = min(start + pol.COLUMN_GROUP, n_probe)
+        group = result.paths(range(start, stop))
+        _, captured = pol.reverse_sweep(group, du.shape[0] * du[start:stop], capture=True)
+        steps = list(group.step_inputs())
+        for name, g in captured.items():                          # (T, out, k)
+            x = np.stack([inputs[name] for inputs in steps])        # (T, in + 1, k)
+            per_path = np.matmul(g.transpose(2, 1, 0), x.transpose(2, 0, 1))   # (k, out, in + 1)
+            sq_sum += float((per_path ** 2).sum())
+            sums[name] = sums.get(name, 0.0) + per_path.sum(axis=0)
+    return (sq_sum - sum(float((t ** 2).sum()) for t in sums.values()) / n_probe) / (n_probe - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +376,26 @@ class TrainResult:
     target_iteration: int | None
 
 
-def _train_iteration(cfg, params, optimizer, ds_train, idx, iteration, workspace):
+def _train_iteration(cfg, params, optimizer, ds_train, idx, iteration, workspace, probe):
     """One step of either optimizer on the batch ``idx``, recorded into
-    ``workspace``; returns the batch loss and the step size (KFAC's eta,
-    Adam's learning rate)."""
+    ``workspace``; returns the batch loss, the gradient-variance probe of
+    the batch's first ``training.probe_paths`` rows when ``probe`` (NaN
+    otherwise), and the step size (KFAC's eta, Adam's learning rate)."""
     gamma, costs = cfg.risk_aversion, cfg.costs
     returns, payoff = ds_train.returns[idx], ds_train.payoff[idx]
     # The forward pass raises on a non-finite action and the sweep on a
     # non-finite gradient, so the curvature update never sees a failed batch.
     res = pol.rollout(params, ds_train.features[idx], ds_train.mask, workspace=workspace)
     loss = ct.objective_value(res.actions, returns, payoff, gamma, costs)
-    grads, _ = pol.reverse_sweep(
-        res, ct.objective_gradient(res.actions, returns, payoff, gamma, costs))
+    du = ct.objective_gradient(res.actions, returns, payoff, gamma, costs)
+    grads, _ = pol.reverse_sweep(res, du)
     if isinstance(optimizer, op.KfacOptimizer):
         row = rs.stream(cfg.seed, rs.PSEUDO_PATH, iteration).integers(idx.size)
         optimizer.update_curvature(res, row,
                                    ct.inner_hessian(ds_train.returns[idx[row]], gamma, costs),
                                    rs.stream(cfg.seed, rs.PSEUDO_NOISE, iteration))
-    return loss, optimizer.apply_step(params, grads)
+    grad_var = probe_gradient_variance(res, du, cfg.training.probe_paths) if probe else math.nan
+    return loss, grad_var, optimizer.apply_step(params, grads)
 
 
 def train(cfg: ExperimentConfig, outdir, resume_from=None,
@@ -396,15 +406,18 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     Every iteration, for either optimizer, is one recorded batch rollout,
     its objective and one reverse sweep; KFAC then updates its curvature
     model from the batch's layer inputs and one pseudo-path drawn from the
-    batch, read from the batch's caches, and the optimizer steps on the
-    batch gradient. The run records every batch into one
+    batch, read from the batch's caches; every ``training.probe_every``
+    iterations the gradient-variance probe reads the batch's first
+    ``training.probe_paths`` rows from the caches too; then the optimizer
+    steps on the batch gradient. So ``grad_variance`` is the noise of the
+    gradient the step takes, at the parameters and on the paths of the
+    row's ``train_loss``. The run records every batch into one
     ``policy.Workspace``, so the caches (about 175 MB at a batch of 512
-    and 63 steps) are allocated once, not per iteration, with the worker
-    processes that unroll and sweep all row blocks but the first (one at
-    a batch of 512 on two CPUs; ``block_workers`` in the manifest); it
-    drops both before the gradient-variance probe, whose unroll then takes
-    their place, and the next iteration allocates them again. The run
-    stops its workers when it ends, however it ends.
+    and 63 steps) are allocated once per run, not per iteration, with the
+    worker processes that unroll and sweep all row blocks but the first
+    (one at a batch of 512 on two CPUs; ``block_workers`` in the
+    manifest), which are forked once per run too: nothing is dropped for
+    the probe. The run stops its workers when it ends, however it ends.
 
     A validation loss above ``DIVERGENCE_FACTOR`` times the
     pre-training one, or a NaN, raises ``TrainingDiverged`` at once. The
@@ -507,18 +520,13 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
                 order_epoch = epoch
             idx = order[j * tcfg.batch_size:(j + 1) * tcfg.batch_size]
 
-            train_loss, eta = _train_iteration(cfg, params, optimizer, ds_train, idx, it,
-                                               workspace)
+            probe = tcfg.probe_every > 0 and it % tcfg.probe_every == 0
+            train_loss, grad_var, eta = _train_iteration(cfg, params, optimizer, ds_train,
+                                                         idx, it, workspace, probe)
             rho_tr = max_scale = float("nan")
             if cfg.optimizer_name == "kfac":
                 rho_tr = optimizer.rho_tr
                 max_scale = optimizer.max_damped_scale()
-
-            grad_var = float("nan")
-            if tcfg.probe_every > 0 and it % tcfg.probe_every == 0:
-                workspace.release()
-                grad_var = probe_gradient_variance(params, ds_train, gamma, costs,
-                                                   tcfg.probe_paths)
 
             new_val = float("nan")
             if it % tcfg.val_every == 0:

@@ -16,8 +16,9 @@ that, ``KfacOptimizer.update_curvature`` does one iteration's curvature
 work on the batch's recorded unroll, in order: input factors from its
 layer inputs on their cadence, one pseudo-backward along one of its
 paths, output factors and D, and the eigenbases on their cadence. The
-pseudo-path is a column of the batch's caches, copied out: both graphs
-are the same unroll, so no path is unrolled twice.
+pseudo-path is a column of the batch's caches, copied out by
+``RolloutResult.paths``: both graphs are the same unroll, so no path is
+unrolled twice.
 
 Damping shrinks each block's eigen-spectrum linearly toward its own mean
 scale (trace preserving) instead of adding a shared ridge. Step sizes
@@ -151,7 +152,7 @@ def pseudo_backward(path: pol.RolloutResult, hessian: ct.InnerHessian,
                     ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Backpropagate <s, u> along one path.
 
-    ``path`` is a recorded one-path unroll, such as ``batch.path(i)``, so u
+    ``path`` is a recorded one-path unroll, such as ``batch.paths([i])``, so u
     is the path's (T, d) actions; the sweep seeds it with s. The target s
     is drawn so that its covariance equals the action-space curvature
     ``hessian``, making the covariance of the parameter gradients the
@@ -201,7 +202,7 @@ class KfacOptimizer:
         cadence."""
         if self.wants_input_stats:
             self.update_input_stats(result.step_inputs())
-        grads, captured = pseudo_backward(result.path(row), hessian, rng)
+        grads, captured = pseudo_backward(result.paths([row]), hessian, rng)
         self.update_output_stats(grads, captured)
         if self.wants_eigenbasis:
             self.update_eigenbasis()

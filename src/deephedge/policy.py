@@ -16,41 +16,46 @@ curvature blocks keep identity eigenbases, a damped diagonal method.
 
 One forward pass, :func:`rollout`, serves every caller. Evaluation and
 validation run it forward-only; training records time-major caches, and
-:func:`reverse_sweep` backpropagates an action seed through them by hand.
-A training run records every batch into one :class:`Workspace`, whose
-buffers live as long as the run and are overwritten by each batch, so a
-result's caches are valid only until the next unroll into its workspace.
-The system differentiates two graphs, both this unroll: the batch
-objective (seed dL/du) and <s, u> (seed s), the latter along one path of
-the batch, copied out of its caches by :meth:`RolloutResult.path`. Each
-weight gradient is the sum over steps of pre-activation gradients times
-layer inputs, the identity the Kronecker factors rest on; a capturing
-sweep returns a block's pre-activation gradients as one (T, out, paths)
-array. The caches keep per step only what the sweep cannot rebuild
-exactly: the embedding's input, RMSNorm's r, the gates, each cell's
-state and symexp's derivative. Each cell's h, its input and tanh of its
-state, and the residual stream, are exact functions of those and the
-parameters, which the sweep and :meth:`RolloutResult.step_inputs`
-recompute with the forward's own ufuncs on the same operands (selective
-recomputation, Chen et al. 2016, arXiv:1604.06174), so they are bit for
-bit what the forward computed. The generic tape of
-:mod:`deephedge.diffcore` is the reference the tests check the sweep
-against. Nothing that trains, validates or evaluates loads it: only the
-tests, the benchmark's tracer and :func:`deephedge.contracts.batch_objective`
-do, and it takes :class:`DiffError` and ``RMS_EPS`` from this module.
+:func:`reverse_sweep` backpropagates an action seed through them by
+hand. A training run records every batch into one :class:`Workspace`,
+whose buffers live as long as the run and are overwritten by each batch,
+so a result's caches are valid only until the next unroll into its
+workspace. The system differentiates two graphs, both this unroll: the
+batch objective (seed dL/du) and <s, u> (seed s), the latter along one
+path of the batch. :meth:`RolloutResult.paths` copies paths out of a
+batch's caches as an unroll of their own, for that pseudo-path and for
+the gradient-variance probe, which sweeps the batch's rows a group at a
+time. Each weight gradient is the sum over steps of pre-activation
+gradients times layer inputs, the identity the Kronecker factors rest
+on; a capturing sweep returns a block's pre-activation gradients as one
+(T, out, paths) array. The caches keep per step only what the sweep
+cannot rebuild exactly: the embedding's input, RMSNorm's r, the gates,
+each cell's state and symexp's derivative. Each cell's h, its input and
+tanh of its state, and the residual stream, are exact functions of those
+and the parameters, which the sweep and
+:meth:`RolloutResult.step_inputs` recompute with the forward's own
+ufuncs on the same operands (selective recomputation, Chen et al. 2016,
+arXiv:1604.06174), so they are bit for bit what the forward computed.
+The generic tape of :mod:`deephedge.diffcore` is the reference the tests
+check the sweep against. Nothing that trains, validates or evaluates
+loads it: only the tests, the benchmark's tracer and
+:func:`deephedge.contracts.batch_objective` do, and it takes
+:class:`DiffError` and ``RMS_EPS`` from this module.
 
 Paths run in row blocks: ``RECORD_BLOCK`` (256) in a recorded unroll (a
-training batch, the probe, a pseudo-path), ``ROW_BLOCK`` (512) in a
-forward-only one (validation, evaluation). Every unroll and sweep of
-several row blocks runs them the same way, through :func:`_run_blocks`:
-in worker processes, one fewer than ``min(blocks, usable CPUs)``, beside
-the calling process. A recorded unroll's :class:`Workspace` forks its
-workers with its caches and keeps them for its sweeps; a forward-only
-unroll forks its own for the call and reaps them before it returns. The
-time goes to small ufunc calls, each of which releases the GIL and takes
-it back, so two threads sweeping (32, 256) planes lost about a third of
-their time waiting for it; processes share only what the blocks write,
-the caches or the actions, in anonymous shared memory. A block's
+training batch), ``ROW_BLOCK`` (512) in a forward-only one (validation,
+evaluation). Every unroll and sweep of several row blocks runs them the
+same way, through :func:`_run_blocks`: in worker processes, one fewer
+than ``min(blocks, usable CPUs)``, beside the calling process. A
+recorded unroll's :class:`Workspace` forks its workers with its caches
+and keeps them for its sweeps, so a training run forks them once; a
+forward-only unroll forks its own for the call, over its action and
+feature rows, and reaps them before it returns. The time goes to small
+ufunc calls, each of which releases the GIL and takes it back, so two
+threads sweeping (32, 256) planes lost about a third of their time
+waiting for it; processes share only what the blocks write, the caches
+or the actions, in anonymous shared memory, and a worker forked for the
+call reads its feature rows from the memory it inherits. A block's
 arithmetic is its own wherever it runs, and the calling process adds the
 blocks' weight gradients in block order, so the block size, not the CPU
 count, sets the order of every sum, and the results do not depend on the
@@ -143,11 +148,12 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> PolicyParams:
 # and on two CPUs (one worker beside the caller, one BLAS thread each) the
 # 4,096-path full-grid evaluation took 1,125 ms in 512-path blocks against
 # 1,328 ms in 256-path ones, with the same actions. A recorded unroll (a
-# training batch, the probe, a pseudo-path) takes RECORD_BLOCK, so a desk
-# batch of 512 is two blocks, unrolled and swept on two cores: a desk
-# iteration took about 20% less, though on one thread two 256-path blocks
-# take 10-25% longer than one 512-path block. The block size, never the
-# CPU count, sets the order of every sum over blocks.
+# training batch) takes RECORD_BLOCK, so a desk batch of 512 is two
+# blocks, unrolled and swept on two cores: a desk iteration took about 20%
+# less, though on one thread two 256-path blocks take 10-25% longer than
+# one 512-path block. Paths copied out of a batch (KFAC's pseudo-path, a
+# group of the probe's) are one block of their own. The block size, never
+# the CPU count, sets the order of every sum over blocks.
 ROW_BLOCK = 512
 RECORD_BLOCK = 256
 COLUMN_GROUP = 8  # BLAS sums an output column past the last full group of 8 in another order
@@ -253,19 +259,6 @@ class _Caches:
             np.add(self.res[b, :h_dim], h_b, out=self.res[b + 1, :h_dim])
         return self.res
 
-    def column(self, j: int) -> "_Caches":
-        """Column ``j`` as a one-path block: a copy of it, in column 0 of
-        buffers padded with zero columns to ``COLUMN_GROUP``, of all but
-        ``aug`` and ``tanh_c``, which only the forward reads."""
-        one = {}
-        for f in fields(self):
-            if f.name != "rows":
-                src = getattr(self, f.name)
-                one[f.name] = np.zeros(src.shape[:-1] + (COLUMN_GROUP,))
-                if f.name not in ("aug", "tanh_c"):
-                    one[f.name][..., 0] = src[..., j]
-        return _Caches(rows=1, **one)
-
 
 class Workspace:
     """The buffers of recorded unrolls, reused from one unroll to the next,
@@ -279,12 +272,12 @@ class Workspace:
     any other unroll reallocates them. Sweeping or reading the previous
     result would then read the new unroll, so an unroll into the
     workspace, or :meth:`release`, invalidates every result recorded into
-    it before: :func:`reverse_sweep`, ``step_inputs`` and
-    ``path`` refuse them; a sweep's (T, out, paths) captures are its own
-    arrays and stay valid. The workspace holds nothing between unrolls that
-    an unroll reads: each one resets what its forward reads before it
-    writes, and writes its gate weights into ``cells`` and its gain planes
-    into ``gains``.
+    it before: :func:`reverse_sweep`, ``step_inputs`` and ``paths`` refuse
+    them; a sweep's (T, out, paths) captures, and the unrolls ``paths``
+    copied out, are their own arrays and stay valid. The workspace holds
+    nothing between unrolls that an unroll reads: each one resets what its
+    forward reads before it writes, and writes its gate weights into
+    ``cells`` and its gain planes into ``gains``.
 
     Right after allocating caches of two or more row blocks, with two or
     more usable CPUs, the workspace forks ``min(blocks, usable CPUs) - 1``
@@ -295,7 +288,9 @@ class Workspace:
     writes and this process reads. The workers live exactly as long as the
     caches they write: :meth:`release`, a reallocation, or the workspace's
     collection stops them, and one whose command pipe reaches EOF, because
-    this process died, exits on its own.
+    this process died, exits on its own. A training run records every
+    batch into one workspace, so it allocates the caches and forks the
+    workers once.
     """
 
     def __init__(self):
@@ -338,7 +333,8 @@ class Workspace:
 class RolloutResult:
     """An unroll's (n, T, d) actions. A recorded one also keeps the caches
     :func:`reverse_sweep` reads, valid until ``params`` change or the
-    workspace they live in is unrolled into again."""
+    workspace they live in is unrolled into again; :meth:`paths` copies
+    some of its paths out of them as an unroll of their own."""
 
     params: PolicyParams
     mask: np.ndarray
@@ -364,17 +360,26 @@ class RolloutResult:
         refused at the call."""
         return _step_inputs(self.recorded(), self.params, self.actions.shape[0])
 
-    def path(self, i: int) -> "RolloutResult":
-        """Path ``i`` as a one-path recorded unroll, copied out of the
-        caches. Sweeping it is, bit for bit, sweeping the path unrolled
-        alone: each column's arithmetic is its own, and every column sits
-        in a full group of ``COLUMN_GROUP``, here as in the batch."""
-        if not 0 <= i < self.actions.shape[0]:
-            raise IndexError(f"path {i} is not in an unroll of {self.actions.shape[0]}")
-        block, j = divmod(i, RECORD_BLOCK)
-        return RolloutResult(params=self.params, mask=self.mask,
-                             actions=self.actions[i:i + 1],
-                             caches=[self.recorded()[block].column(j)])
+    def paths(self, rows) -> "RolloutResult":
+        """The paths ``rows``, in that order, as a recorded unroll of one
+        row block, copied out of the caches, whatever blocks they sit in,
+        into buffers padded with zero columns to whole groups of
+        ``COLUMN_GROUP``. Sweeping it is, bit for bit, sweeping each path
+        unrolled alone: each column's arithmetic is its own, and every
+        column sits in a full group, here as in the batch."""
+        n, rows = self.actions.shape[0], np.asarray(rows, dtype=np.intp)
+        if not rows.size or rows.min() < 0 or rows.max() >= n:
+            raise IndexError(f"paths {rows.tolist()} are not a selection of an unroll of {n}")
+        caches = self.recorded()
+        blocks, cols = np.divmod(rows, caches[0].rows)   # every block but the last is full
+        copied = {f.name: np.zeros(getattr(caches[0], f.name).shape[:-1] + (_columns(rows.size),))
+                  for f in fields(_Caches) if f.name != "rows"}
+        for k in np.unique(blocks):
+            at = np.flatnonzero(blocks == k)
+            for name, buf in copied.items():
+                buf[..., at] = getattr(caches[k], name)[..., cols[at]]
+        return RolloutResult(params=self.params, mask=self.mask, actions=self.actions[rows],
+                             caches=[_Caches(rows=rows.size, **copied)])
 
 
 def _step_inputs(caches: list[_Caches], params: PolicyParams,
@@ -437,9 +442,9 @@ _PARENT_ENDS: set[Connection] = set()
 
 
 def _fork_workers(targets: list, count: int, workers: list[tuple[int, Connection]]) -> None:
-    """Fork ``count`` workers over ``targets``, what each row block writes
-    in place (a recorded unroll's caches, a forward-only one's action
-    rows), appending each (pid, pipe) to ``workers`` as it starts."""
+    """Fork ``count`` workers over ``targets``, what each row block works on
+    in place (a recorded unroll's caches, a forward-only one's action and
+    feature rows), appending each (pid, pipe) to ``workers`` as it starts."""
     for _ in range(count):
         here, there = Pipe()
         try:
@@ -573,11 +578,12 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     non-finite action. Row blocks run side by side through
     :func:`_run_blocks`, in worker processes and this one, with results
     that do not depend on how many: ``RECORD_BLOCK`` paths each on the
-    workspace's workers when recording (see :class:`Workspace`),
-    ``ROW_BLOCK`` paths each when forward-only, on workers forked for the
-    call once the actions are allocated in anonymous shared memory, where
-    each block writes its rows, and reaped before it returns, however it
-    returns.
+    workspace's workers when recording (see :class:`Workspace`), which
+    needs at least one path, ``ROW_BLOCK`` paths each when forward-only, on
+    workers forked for the call once the actions are allocated in
+    anonymous shared memory, where each block writes its rows: each worker
+    inherits its blocks' action and feature rows, so a command carries
+    none, and is reaped before the call returns, however it returns.
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -589,18 +595,20 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         if workspace is not None:
             raise ValueError("a forward-only unroll records nothing into a workspace")
         actions = _shared_empty((n, n_steps, config.action_dim))
-        starts = range(0, n, ROW_BLOCK)
-        outs = [actions[r0:r0 + ROW_BLOCK] for r0 in starts]
+        blocks = [(actions[r0:r0 + ROW_BLOCK], features[r0:r0 + ROW_BLOCK])
+                  for r0 in range(0, n, ROW_BLOCK)]
         cells = _gate_weights(params.values, _gate_buffers(config))
         gains = _gain_planes(params.values, _plane_buffers(config, _columns(min(n, ROW_BLOCK))))
         workers: list[tuple[int, Connection]] = []
         try:
-            _fork_workers(outs, _worker_count(len(outs)), workers)
-            _run_blocks(workers, outs, _forward_block, (config, params.values, cells, gains, mask),
-                        [(features[r0:r0 + ROW_BLOCK],) for r0 in starts])
+            _fork_workers(blocks, _worker_count(len(blocks)), workers)
+            _run_blocks(workers, blocks, _forward_block,
+                        (config, params.values, cells, gains, mask), [()] * len(blocks))
         finally:
             _stop_workers(workers)
         return RolloutResult(params=params, mask=mask, actions=actions, caches=[])
+    if n == 0:
+        raise ValueError("a recorded unroll needs at least one path")
     fresh = workspace is None
     workspace = workspace or Workspace()
     caches = workspace.caches(config, n_steps, n)
@@ -645,12 +653,13 @@ def _gain_planes(values: dict[str, np.ndarray], planes: list[np.ndarray]) -> lis
     return planes
 
 
-def _forward_block(out: np.ndarray, features: np.ndarray, config: PolicyConfig,
+def _forward_block(block: tuple[np.ndarray, np.ndarray], config: PolicyConfig,
                    values: dict[str, np.ndarray], cells: list[np.ndarray],
                    gains: list[np.ndarray], mask: np.ndarray) -> None:
-    """One forward-only row block: :func:`_unroll_block` of its (rows, T, f)
-    features through buffers of its own, its (rows, T, d) actions into
-    ``out``."""
+    """One forward-only row block, ``block`` its (rows, T, d) action rows
+    and (rows, T, f) feature rows: :func:`_unroll_block` of the features
+    through buffers of its own, the actions into the action rows."""
+    out, features = block
     _unroll_block(_Caches.allocate(config, features.shape[1], features.shape[0], record=False),
                   features, values, cells, gains, mask, out=out)
 
@@ -755,7 +764,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     workers = result.workspace.workers if result.workspace is not None else []
     values = result.params.values
     gains = _gain_planes(values, _plane_buffers(result.params.config, caches[0].e.shape[-1]))
-    seeds = [(du[r0:r0 + RECORD_BLOCK],) for r0 in range(0, du.shape[0], RECORD_BLOCK)]
+    seeds = [(part,) for part in np.split(du, np.cumsum([c.rows for c in caches])[:-1])]
     blocks = _run_blocks(workers, caches, _sweep_block, (values, gains, result.mask, capture),
                          seeds)
     grads = blocks[0][0]

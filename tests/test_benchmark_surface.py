@@ -146,11 +146,12 @@ def test_a_traced_kfac_run_times_every_curvature_call(tracing, tmp_path):
     metrics = _traced_metrics(tracing, tmp_path, "kfac")
     assert metrics["diffcore.backward.calls"] == 0   # training sweeps; it builds no tape
     # Every unroll goes through policy.rollout, 21 steps each: the baseline
-    # and 2 validations of 32 paths, 2 batches of 32 and the probe's 8
-    # paths. A pseudo-path is read from its batch, not unrolled again.
-    assert metrics["policy.rollout.path_steps"] == 21 * (3 * 32 + 2 * 32 + 8)
+    # and 2 validations of 32 paths, and 2 batches of 32. The pseudo-path
+    # and the probe's 8 paths are read from their batch, not unrolled again.
+    assert metrics["policy.rollout.path_steps"] == 21 * (3 * 32 + 2 * 32)
     assert metrics["optim.update_eigenbasis.calls"] == 1
-    for layer in ("optim.pseudo_backward", "optim.update_input_stats",
+    for layer in ("harness.probe_gradient_variance",
+                  "optim.pseudo_backward", "optim.update_input_stats",
                   "optim.update_output_stats", "optim.update_eigenbasis",
                   "optim.precondition", "optim.kfac_apply_step",
                   "contracts.inner_hessian"):

@@ -131,6 +131,8 @@ def test_toy_config_builds():
     # an option maturing in less than a step failed inside the pricer
     ("grid", {0: [1.0]}),
     ("grid", {-3: [1.0]}),
+    # the probe reads the batch's rows: more than a batch was clamped to it
+    ("training.probe_paths", 33),
 ])
 def test_bad_value_raises_config_error(path, value):
     with pytest.raises(harness.ConfigError):
@@ -240,7 +242,8 @@ def test_a_dataset_build_peaks_at_what_it_keeps():
 def test_load_config_reads_a_yaml_file(tmp_path):
     f = tmp_path / "toy.yaml"
     f.write_text("market: {}\ngrid: {10: [1.0]}\ncliquet: {cap: 0.015, resets: [7, 14, 21]}\n"
-                 "data: {n_train: 64, n_val: 32}\ntraining: {batch_size: 32}\nseed: 7\n")
+                 "data: {n_train: 64, n_val: 32}\ntraining: {batch_size: 32, probe_paths: 8}\n"
+                 "seed: 7\n")
     cfg = harness.load_config(f, optimizer_override="adam")
     assert cfg.optimizer_name == "adam" and cfg.cliquet.maturity == 21
 
@@ -474,8 +477,8 @@ def test_an_unreached_validation_target_runs_the_whole_budget(tmp_path, toy_data
 
 @pytest.mark.parametrize("name", ["adam", "kfac"])
 def test_two_runs_in_one_process_are_identical(tmp_path, toy_datasets, name):
-    # A run records every batch into its own workspace and drops it before
-    # each probe: a second run, with a probe and a validation between its
+    # A run records every batch into its own workspace, which the probe
+    # reads: a second run, with a probe and a validation between its
     # iterations, repeats the first bit for bit.
     cfg = _toy_config(name, 4, probe_every=2)
     first = harness.train(cfg, tmp_path / "first", datasets=toy_datasets)
@@ -515,27 +518,60 @@ def test_probe_is_the_trace_of_the_per_path_gradient_covariance(toy_datasets, mo
     # One path at a time: a path unrolled alone and swept with n times its
     # row of the batch's dL/du gives its single-sample gradient estimate,
     # and the probe is the unbiased trace of their covariance over the
-    # Kronecker blocks. Row blocks of 3 make the probe join three blocks.
+    # Kronecker blocks. 13 of 32 rows: two groups of 8, the second short,
+    # and at row blocks of 3 each group spans several blocks.
+    monkeypatch.setattr(pol, "RECORD_BLOCK", block)
     cfg = harness.build_config(copy.deepcopy(TOY))
     params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
-    ds, n = toy_datasets["train"], 8
-    gamma, costs = cfg.risk_aversion, cfg.costs
-    actions = pol.rollout(params, ds.features[:n], ds.mask, record=False).actions
-    du = n * ct.objective_gradient(actions, ds.returns[:n], ds.payoff[:n], gamma, costs)
+    ds, n, n_probe = toy_datasets["train"], 32, 13
+    batch = pol.rollout(params, ds.features[:n], ds.mask)
+    du = ct.objective_gradient(batch.actions, ds.returns[:n], ds.payoff[:n],
+                               cfg.risk_aversion, cfg.costs)
     per_path = []
-    for i in range(n):
+    for i in range(n_probe):
         alone = pol.rollout(params, ds.features[i:i + 1], ds.mask)
-        grads, _ = pol.reverse_sweep(alone, du[i:i + 1])
+        grads, _ = pol.reverse_sweep(alone, n * du[i:i + 1])
         per_path.append(np.concatenate([grads[name].ravel() for name in params.kronecker_names]))
     want = np.var(per_path, axis=0, ddof=1).sum()
-    monkeypatch.setattr(pol, "RECORD_BLOCK", block)
-    got = harness.probe_gradient_variance(params, ds, gamma, costs, n)
+    got = harness.probe_gradient_variance(batch, du, n_probe)
     assert want > 0.0 and abs(got - want) <= 1e-10 * want
 
 
+@pytest.mark.parametrize("name", ["adam", "kfac"])
+def test_the_probe_changes_nothing_but_its_column(tmp_path, toy_datasets, name):
+    # It reads the batch between its sweep and the step: a run probing every
+    # iteration trains, validates and saves what a run without the probe
+    # does, and iteration 0's probe is that of the first batch at the
+    # initial parameters. The config hash covers probe_every, so the
+    # checkpoints are compared record by record.
+    cfg = _toy_config(name, 3, probe_every=1)
+    probed = harness.train(cfg, tmp_path / "probed", datasets=toy_datasets)
+    plain = harness.train(_toy_config(name, 3, probe_every=0), tmp_path / "plain",
+                          datasets=toy_datasets)
+
+    def columns(result):
+        rows = [row.split(",") for row in _metrics_without_wall_ms(result.metrics_path)]
+        return [row[:5] + row[6:] for row in rows], [row[5] for row in rows[1:]]
+
+    (probed_rows, probes), (plain_rows, unprobed) = columns(probed), columns(plain)
+    assert probed_rows == plain_rows
+    assert all(float(v) > 0.0 for v in probes) and unprobed == ["", "", ""]
+    ds, batch = toy_datasets["train"], cfg.training.batch_size
+    idx = rs.stream(cfg.seed, rs.BATCH_SHUFFLE, 0).permutation(ds.n_paths)[:batch]
+    init = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
+    first = pol.rollout(init, ds.features[idx], ds.mask)
+    du = ct.objective_gradient(first.actions, ds.returns[idx], ds.payoff[idx],
+                               cfg.risk_aversion, cfg.costs)
+    assert float(probes[0]) == harness.probe_gradient_variance(first, du, cfg.training.probe_paths)
+    got = _resume_records(probed.checkpoint_path)
+    want = _resume_records(plain.checkpoint_path)
+    assert got.keys() == want.keys()
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
 def _two_block_raw():
-    """TOY with 600 training paths, and a batch and a probe of 300 paths:
-    two recorded row blocks each."""
+    """TOY with 600 training paths, and a batch of 300 paths, two recorded
+    row blocks, all of which the probe reads."""
     raw = _with("data.n_train", 600)
     raw["training"].update(batch_size=300, probe_paths=300, val_every=1)
     return raw
@@ -572,7 +608,8 @@ def _count_workers(monkeypatch, cpus):
 def test_training_does_not_depend_on_the_cpu_count(tmp_path, two_block_datasets, monkeypatch,
                                                    name):
     # The row blocks unrolled and swept inline on one CPU, and side by side
-    # with a worker process, train alike, and the run stops its workers.
+    # with a worker process, train alike, and the run stops its workers. The
+    # probe at iteration 0 reads the batch, so the run forks its worker once.
     cfg = _two_block_config(name)
     assert -(-cfg.training.batch_size // pol.RECORD_BLOCK) == 2
     forked = _count_workers(monkeypatch, 1)
@@ -584,8 +621,7 @@ def test_training_does_not_depend_on_the_cpu_count(tmp_path, two_block_datasets,
         assert manifest["environment"]["block_workers"] == min(cpus, 2) - 1
         if cpus == 1:
             assert forked == []
-    # one worker per allocation: the batch's caches, the probe's, the batch's again
-    assert len(forked) == 3
+    assert len(forked) == 1
     assert (_metrics_without_wall_ms(runs[1].metrics_path)
             == _metrics_without_wall_ms(runs[4].metrics_path))
     assert (Path(runs[1].checkpoint_path).read_bytes()
@@ -595,9 +631,8 @@ def test_training_does_not_depend_on_the_cpu_count(tmp_path, two_block_datasets,
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("failure", ["DiffError", "TrainingDiverged"])
 def test_a_failed_run_leaves_no_worker(tmp_path, two_block_datasets, monkeypatch, failure):
-    # A run that stops on an error has forked workers for its batch (and
-    # its probe), and stopped and reaped them before the error reaches the
-    # caller.
+    # A run that stops on an error has forked a worker for its batch, and
+    # stopped and reaped it before the error reaches the caller.
     cfg = _two_block_config("adam")
     if failure == "DiffError":   # the batch's first step overflows in both row blocks
         cfg = harness.build_config({**_two_block_raw(), "policy": {"head_scale": 1e6}},
@@ -663,8 +698,7 @@ def test_a_killed_run_leaves_no_worker_running(tmp_path):
 
 
 # A head 1e6 times the default overflows symexp at the first step: training
-# and the probe must stop there with the step named, not go on with NaN into
-# the optimizer.
+# must stop there with the step named, not go on with NaN into the optimizer.
 OVERFLOWING = {**TOY, "policy": {"head_scale": 1e6}}
 
 
@@ -700,11 +734,18 @@ def test_failed_run_checkpoint_equals_a_straight_run_to_its_last_iteration(
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_probe_overflow_names_the_op(toy_datasets):
-    cfg = harness.build_config(copy.deepcopy(OVERFLOWING))
+    # A non-finite row of the seed, in the second group of 8, stops the
+    # probe with the parameter named.
+    cfg = harness.build_config(copy.deepcopy(TOY))
     params = pol.init_params(cfg.policy, rs.stream(cfg.seed, rs.POLICY_INIT))
-    with pytest.raises(dc.DiffError, match="non-finite action at step 0$"):
-        harness.probe_gradient_variance(params, toy_datasets["train"],
-                                        cfg.risk_aversion, cfg.costs, 8)
+    ds, n = toy_datasets["train"], 32
+    batch = pol.rollout(params, ds.features[:n], ds.mask)
+    du = ct.objective_gradient(batch.actions, ds.returns[:n], ds.payoff[:n],
+                               cfg.risk_aversion, cfg.costs)
+    assert harness.probe_gradient_variance(batch, du, 16) > 0.0
+    du[9, -1, 0] = np.inf
+    with pytest.raises(dc.DiffError, match="non-finite gradient of parameter 'embed'$"):
+        harness.probe_gradient_variance(batch, du, 16)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -219,7 +219,7 @@ def test_a_pseudo_path_read_from_its_batch_is_the_path_unrolled_alone():
     h = ct.inner_hessian(returns, gamma=50.0, costs=ct.CostSpec())
     batch = pol.rollout(params, features, mask, workspace=pol.Workspace())
     for i in (0, 7, 8, 12):
-        got = op.pseudo_backward(batch.path(i), h, np.random.default_rng(i))
+        got = op.pseudo_backward(batch.paths([i]), h, np.random.default_rng(i))
         want = op.pseudo_backward(pol.rollout(params, features[i:i + 1], mask), h,
                                   np.random.default_rng(i))
         assert got[0].keys() == want[0].keys() and got[1].keys() == want[1].keys()

@@ -301,6 +301,26 @@ def test_a_pseudo_path_is_its_column_in_the_batch():
             assert np.array_equal(g[..., 0], batch_grads[name][..., i]), (i, name)
 
 
+def test_paths_copied_out_of_a_batch_sweep_as_in_the_batch(monkeypatch):
+    # Bit for bit: nine paths, out of order, from three row blocks of 5,
+    # in a group of 8 and a short one, swept together give each path's
+    # actions and pre-activation gradients in the batch.
+    monkeypatch.setattr(pol, "RECORD_BLOCK", 5)
+    rng = np.random.default_rng(30)
+    params = pol.init_params(ORACLE, rng)
+    features, mask, _, _ = _random_problem(rng, ORACLE, n=13, n_steps=7)
+    s = rng.normal(size=(13, 7, ORACLE.action_dim))
+    batch = pol.rollout(params, features, mask)
+    _, batch_grads = pol.reverse_sweep(batch, s, capture=True)
+    rows = [12, 3, 4, 5, 6, 0, 9, 10, 11]
+    copied = batch.paths(rows)
+    assert [cache.rows for cache in copied.caches] == [9]
+    _, grads = pol.reverse_sweep(copied, s[rows], capture=True)
+    assert np.array_equal(copied.actions, batch.actions[rows])
+    for name, g in grads.items():
+        assert np.array_equal(g, batch_grads[name][..., rows]), name
+
+
 def _stacked_inputs(result):
     """Each Kronecker block's (T, in + 1, n) layer inputs, ``step_inputs``
     stacked over the steps."""
@@ -349,7 +369,8 @@ def test_a_reused_workspace_refuses_the_results_it_held():
     old = pol.rollout(params, features, mask, workspace=workspace)
     new = pol.rollout(params, features, mask, workspace=workspace)
     seed = np.ones(new.actions.shape)
-    uses = (lambda r: pol.reverse_sweep(r, seed), lambda r: r.step_inputs(), lambda r: r.path(0))
+    uses = (lambda r: pol.reverse_sweep(r, seed), lambda r: r.step_inputs(),
+            lambda r: r.paths([0]))
     for use in uses:
         with pytest.raises(ValueError, match="workspace"):
             use(old)
@@ -360,8 +381,10 @@ def test_a_reused_workspace_refuses_the_results_it_held():
             use(new)
     with pytest.raises(ValueError, match="forward-only"):
         pol.rollout(params, features, mask, record=False, workspace=workspace)
-    with pytest.raises(IndexError):
-        pol.rollout(params, features, mask).path(features.shape[0])
+    recorded = pol.rollout(params, features, mask)
+    for rows in ([], [features.shape[0]], [0, -1]):
+        with pytest.raises(IndexError):
+            recorded.paths(rows)
 
 
 def test_a_reused_workspace_allocates_almost_nothing():
@@ -501,16 +524,28 @@ def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
     actions, sweep gradients and layer inputs, and its path ``column``
     swept alone; the workers the forward-only unroll forked, each reaped
     before it returned, and those the recorded unroll forked, which its
-    release stops."""
+    release stops. The forward-only call's block commands carry no array."""
     monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
     forks = _forks(monkeypatch)
+    per_block = []
+    run_blocks = pol._run_blocks
+
+    def spied(workers, targets, fn, common, args):
+        per_block.extend(args)
+        return run_blocks(workers, targets, fn, common, args)
+
+    monkeypatch.setattr(pol, "_run_blocks", spied)
     forward_only = pol.rollout(params, features, mask, record=False).actions
+    monkeypatch.setattr(pol, "_run_blocks", run_blocks)
+    # each worker inherits its blocks' feature rows: no command carries an array
+    assert len(per_block) == -(-features.shape[0] // pol.ROW_BLOCK)
+    assert not any(isinstance(a, np.ndarray) for args in per_block for a in args)
     (forward_workers,) = forks
     assert not any(_running(pid) for pid in forward_workers)
     recorded = pol.rollout(params, features, mask)
     workers = _worker_pids(recorded)
     grads, _ = pol.reverse_sweep(recorded, s)
-    alone = _sweep(recorded.path(column), s[column:column + 1])
+    alone = _sweep(recorded.paths([column]), s[column:column + 1])
     got = (forward_only, recorded.actions, grads, _stacked_inputs(recorded)) + alone
     recorded.workspace.release()
     assert not any(_running(pid) for pid in workers)
@@ -554,7 +589,7 @@ def _recorded_on(monkeypatch, cpus, params, features, mask, s, column):
     monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
     result = pol.rollout(params, features, mask)
     workers = _worker_pids(result)
-    got = _sweep(result, s) + _sweep(result.path(column), s[column:column + 1])
+    got = _sweep(result, s) + _sweep(result.paths([column]), s[column:column + 1])
     result.workspace.release()
     assert not any(_running(pid) for pid in workers)
     return got, len(workers)
@@ -593,7 +628,7 @@ def test_threaded_sweeps_repeat_bit_for_bit(monkeypatch):
     for _ in range(5):
         result = pol.rollout(params, features, mask, workspace=workspace)
         workers.append(_worker_pids(result))
-        runs.append(_sweep(result, s) + _sweep(result.path(column), s[column:column + 1]))
+        runs.append(_sweep(result, s) + _sweep(result.paths([column]), s[column:column + 1]))
     assert len(workers[0]) == 3 and all(w == workers[0] for w in workers)
     workspace.release()
     assert not any(_running(pid) for pid in workers[0])
@@ -748,6 +783,8 @@ def test_rollout_validates_shapes():
     recorded = pol.rollout(params, np.zeros((2, 3, 6)), np.ones((3, 3)))
     with pytest.raises(ValueError, match="seed shape"):
         pol.reverse_sweep(recorded, np.zeros((2, 4, 3)))
+    with pytest.raises(ValueError, match="at least one path"):   # not an IndexError inside
+        pol.rollout(params, np.zeros((0, 3, 6)), np.ones((3, 3)))
 
 
 def test_a_non_finite_gradient_names_its_parameter():
