@@ -123,13 +123,14 @@ class ExperimentConfig:
 
     def identity_hash(self) -> int:
         """Hash of every field but the optimizer's: the choice and settings
-        are excluded so paired runs share checkpoints, and the stopping
-        rules, the iteration budget and the validation target, so a run can
-        be resumed to a longer budget or with another target."""
+        are excluded so paired runs share checkpoints; the stopping rules,
+        the iteration budget and the validation target, so a run can be
+        resumed to a longer budget or with another target; and the
+        gradient-variance probe's settings, which change no parameter."""
         d = asdict(self)
         for key in ("optimizer_name", "kfac", "adam"):
             d.pop(key)
-        for key in ("max_iterations", "val_target"):
+        for key in ("max_iterations", "val_target", "probe_every", "probe_paths"):
             d["training"].pop(key)
         return ckpt.config_hash(d)
 
@@ -428,10 +429,11 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     each flushed as it is written, into ``outdir``, then ``checkpoint.dhck``
     (:mod:`deephedge.checkpoint`) with the parameters and the optimizer state.
     ``resume_from`` names a checkpoint of the same config and optimizer;
-    the run continues from its iteration and appends to the metrics. The
-    result holds paths and counts, not a loss: the metrics hold the
-    validation losses, and ``dataset_objective`` scores the checkpoint's
-    parameters.
+    the run continues from its iteration and keeps the metrics rows before
+    it, dropping those a run interrupted after the checkpoint (by Ctrl-C,
+    say) wrote past it. The result holds paths and counts, not a loss: the
+    metrics hold the validation losses, and ``dataset_objective`` scores
+    the checkpoint's parameters.
 
     A run that stops on ``DiffError``, ``OptimError`` or ``TrainingDiverged``
     still writes its checkpoint, as of the last iteration that wrote its
@@ -490,10 +492,12 @@ def train(cfg: ExperimentConfig, outdir, resume_from=None,
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
     metrics_path = outdir / "metrics.csv"
-    mode = "a" if (resume_from is not None and metrics_path.exists()) else "w"
-    metrics = open(metrics_path, mode, buffering=1)   # line-buffered: flushed row by row
-    if mode == "w":
-        metrics.write(METRICS_HEADER + "\n")
+    kept = []
+    if resume_from is not None and metrics_path.exists():
+        kept = [row for row in metrics_path.read_text().splitlines(keepends=True)[1:]
+                if int(row.split(",", 1)[0]) < start]
+    metrics = open(metrics_path, "w", buffering=1)   # line-buffered: flushed row by row
+    metrics.write(METRICS_HEADER + "\n" + "".join(kept))
 
     batches_per_epoch = ds_train.n_paths // tcfg.batch_size
     order = None

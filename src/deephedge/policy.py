@@ -55,11 +55,15 @@ ufunc calls, each of which releases the GIL and takes it back, so two
 threads sweeping (32, 256) planes lost about a third of their time
 waiting for it; processes share only what the blocks write, the caches
 or the actions, in anonymous shared memory, and a worker forked for the
-call reads its feature rows from the memory it inherits. A block's
-arithmetic is its own wherever it runs, and the calling process adds the
-blocks' weight gradients in block order, so the block size, not the CPU
-count, sets the order of every sum, and the results do not depend on the
-number of workers.
+call reads its feature rows from the memory it inherits. A command to a
+worker carries the parameters, the mask and its blocks' own rows (their
+features, or their seed); each block builds its constants from the
+parameters where it runs, into its caches: the cells' gate weights, with
+the sigmoid rows halved, and each RMSNorm gain across its columns. A
+block's arithmetic is its own wherever it runs, and the calling process
+adds the blocks' weight gradients in block order, so the block size, not
+the CPU count, sets the order of every sum, and the results do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -175,16 +179,19 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
 @dataclass
 class _Caches:
     """One row block's buffers, time-major and feature-major: (slot, ...,
-    features, columns). A recorded unroll keeps step t in slot t, and the
-    recurrent values it hands to step t + 1 (the action and each cell's
+    features, columns), and its constants, which each unroll builds from
+    the parameters where the block runs: the cells' gate weights
+    (:func:`_gate_weights`) and the RMSNorm gain planes
+    (:func:`_gain_planes`). A recorded unroll keeps step t in slot t, and
+    the recurrent values it hands to step t + 1 (the action and each cell's
     c) in slot t + 1 of ``x_in`` and ``c``, so only those two have a slot
     T. Everything else the sweep reads is an exact function of these:
     each cell's h at step t is o_t tanh(c[t + 1]) (:meth:`cell_output`),
     the residual stream is the embedding of ``x_in[t]`` plus the blocks' h
     (:meth:`stream`), and a cell's input is [stream r gain; h_prev; 1].
     So ``res``, ``aug`` and ``tanh_c`` have no time slot: the forward
-    overwrites them every step, and the sweep and
-    :meth:`RolloutResult.step_inputs` rebuild those values, bit for bit,
+    overwrites them every step, and the sweep (into ``aug`` and ``res``)
+    and :meth:`RolloutResult.step_inputs` rebuild those values, bit for bit,
     with the forward's ufuncs on the same C-contiguous (H, cols) operands:
     one tanh and two multiplies per cell and step, against 36% of a
     recorded block's memory. A forward-only
@@ -193,6 +200,8 @@ class _Caches:
     so its buffers stay in cache."""
 
     rows: int
+    cells: np.ndarray   # (B, 4H, 2H + 1): each cell's gate weights, the sigmoid rows halved
+    gains: np.ndarray   # (B, H, cols): each RMSNorm gain across the block's columns
     x_in: np.ndarray    # (T + 1, f + d + 1, cols): [features; u_prev; 1], the embedding's input
     res: np.ndarray     # (B + 1, H + 1, cols): [residual stream; 1] into each block and the head
     r: np.ndarray       # (T, B, cols): RMSNorm's 1 / sqrt(mean(x^2) + eps)
@@ -211,7 +220,9 @@ class _Caches:
         h_dim, d, n_blocks = config.hidden, config.action_dim, config.n_blocks
         cols = _columns(rows)
         steps, carried, blocks = (n_steps, n_steps + 1, n_blocks) if record else (1, 1, 1)
-        shapes = {"x_in": (carried, config.n_features + d + 1, cols),
+        shapes = {"cells": (n_blocks, 4 * h_dim, 2 * h_dim + 1),
+                  "gains": (n_blocks, h_dim, cols),
+                  "x_in": (carried, config.n_features + d + 1, cols),
                   "res": (blocks + 1, h_dim + 1, cols),
                   "r": (steps, blocks, cols),
                   "aug": (n_blocks, 2 * h_dim + 1, cols),
@@ -276,8 +287,8 @@ class Workspace:
     them; a sweep's (T, out, paths) captures, and the unrolls ``paths``
     copied out, are their own arrays and stay valid. The workspace holds
     nothing between unrolls that an unroll reads: each one resets what its
-    forward reads before it writes, and writes its gate weights into
-    ``cells`` and its gain planes into ``gains``.
+    forward reads before it writes, and each row block builds its gate
+    weights and gain planes into its own caches, where it runs.
 
     Right after allocating caches of two or more row blocks, with two or
     more usable CPUs, the workspace forks ``min(blocks, usable CPUs) - 1``
@@ -285,18 +296,17 @@ class Workspace:
     Worker w runs the row blocks k = w (mod workers + 1), this process
     those of k = 0, at the same time: GIL-bound ufunc loops do not overlap
     on threads. A worker's blocks live in anonymous shared memory, which it
-    writes and this process reads. The workers live exactly as long as the
-    caches they write: :meth:`release`, a reallocation, or the workspace's
-    collection stops them, and one whose command pipe reaches EOF, because
-    this process died, exits on its own. A training run records every
-    batch into one workspace, so it allocates the caches and forks the
-    workers once.
+    writes and this process reads; a command carries the parameters, the
+    mask and its blocks' own rows (their features, or their seed). The
+    workers live exactly as long as the caches they write: :meth:`release`,
+    a reallocation, or the workspace's collection stops them, and one whose
+    command pipe reaches EOF, because this process died, exits on its own.
+    A training run records every batch into one workspace, so it allocates
+    the caches and forks the workers once.
     """
 
     def __init__(self):
         self._caches: list[_Caches] = []
-        self.cells: list[np.ndarray] = []
-        self.gains: list[np.ndarray] = []
         self._shape: tuple | None = None
         self.generation = 0
         self.workers: list[tuple[int, Connection]] = []   # (pid, command pipe)
@@ -316,8 +326,6 @@ class Workspace:
                                          record=True, shared=k % lanes != 0)
                         for k, r0 in enumerate(starts)]
         _fork_workers(self._caches, lanes - 1, self.workers)
-        self.cells = _gate_buffers(config)
-        self.gains = _plane_buffers(config, self._caches[0].e.shape[-1])
         self._shape = (config, n_steps, n)
         return self._caches
 
@@ -325,7 +333,7 @@ class Workspace:
         """Stop the workers and drop the buffers, invalidating the last
         result recorded into them."""
         _stop_workers(self.workers)
-        self._caches, self.cells, self.gains, self._shape = [], [], [], None
+        self._caches, self._shape = [], None
         self.generation += 1
 
 
@@ -354,7 +362,7 @@ class RolloutResult:
     def step_inputs(self) -> Iterator[dict[str, np.ndarray]]:
         """Step by step, each Kronecker block's (in + 1, n) inputs, in
         arrays of the step's own: the cells' and the head's rebuilt, going
-        forward, from the caches and the gains of ``params``, with the
+        forward, from the caches and their gain planes, with the
         sweep's arithmetic, the row blocks' side by side, so the matrices
         are bit for bit the same whatever the row blocks. A stale result is
         refused at the call."""
@@ -373,13 +381,14 @@ class RolloutResult:
         caches = self.recorded()
         blocks, cols = np.divmod(rows, caches[0].rows)   # every block but the last is full
         copied = {f.name: np.zeros(getattr(caches[0], f.name).shape[:-1] + (_columns(rows.size),))
-                  for f in fields(_Caches) if f.name != "rows"}
+                  for f in fields(_Caches) if f.name not in ("rows", "cells")}
         for k in np.unique(blocks):
             at = np.flatnonzero(blocks == k)
             for name, buf in copied.items():
                 buf[..., at] = getattr(caches[k], name)[..., cols[at]]
+        # the gate weights have no column axis: the copy shares them, and no sweep reads them
         return RolloutResult(params=self.params, mask=self.mask, actions=self.actions[rows],
-                             caches=[_Caches(rows=rows.size, **copied)])
+                             caches=[_Caches(rows=rows.size, cells=caches[0].cells, **copied)])
 
 
 def _step_inputs(caches: list[_Caches], params: PolicyParams,
@@ -391,7 +400,6 @@ def _step_inputs(caches: list[_Caches], params: PolicyParams,
     and builds the step's stream."""
     config, embed = params.config, params.values["embed"]
     h_dim, n_blocks = config.hidden, config.n_blocks
-    gains = _gain_planes(params.values, _plane_buffers(config, caches[0].e.shape[-1]))
     hs = [np.zeros(cache.c.shape[1:]) for cache in caches]   # (B, H, cols), zero before step 0
     scratch = [np.empty(cache.tanh_c.shape) for cache in caches]
     for t in range(caches[0].e.shape[0]):
@@ -408,7 +416,7 @@ def _step_inputs(caches: list[_Caches], params: PolicyParams,
             for b in range(n_blocks):
                 cache.cell_output(t, b, buf, h[b])
             res = cache.stream(embed, t, h)
-            for b, gain in enumerate(gains):
+            for b, gain in enumerate(cache.gains):
                 buf[...] = cache.r[t, b]   # a plane, not a broadcast row: no temporary
                 normed = cells[b, :h_dim, cols]
                 np.multiply(res[b, :h_dim, :rows], buf[:, :rows], out=normed)
@@ -549,17 +557,6 @@ def _run_blocks(workers: list[tuple[int, Connection]], targets: list, fn, common
     return [done[k] for k in range(n)]
 
 
-def _gate_buffers(config: PolicyConfig) -> list[np.ndarray]:
-    """One (4H, 2H + 1) buffer per cell for :func:`_gate_weights`."""
-    return [np.empty((4 * config.hidden, 2 * config.hidden + 1))
-            for _ in range(config.n_blocks)]
-
-
-def _plane_buffers(config: PolicyConfig, cols: int) -> list[np.ndarray]:
-    """One (H, cols) buffer per cell for :func:`_gain_planes`."""
-    return [np.empty((config.hidden, cols)) for _ in range(config.n_blocks)]
-
-
 def _quarters(a: np.ndarray, h_dim: int) -> tuple[np.ndarray, ...]:
     """The four gates' rows of a (4H, ...) array: views, as np.split gives
     but at a fraction of its cost."""
@@ -582,8 +579,11 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     needs at least one path, ``ROW_BLOCK`` paths each when forward-only, on
     workers forked for the call once the actions are allocated in
     anonymous shared memory, where each block writes its rows: each worker
-    inherits its blocks' action and feature rows, so a command carries
-    none, and is reaped before the call returns, however it returns.
+    inherits its blocks' action and feature rows, and is reaped before the
+    call returns, however it returns. A command carries the parameters and
+    the mask, plus each block's feature rows when recording; each block
+    builds its gate weights and gain planes into its own caches
+    (:func:`_unroll_block`).
     """
     config = params.config
     n, n_steps, n_feat = features.shape
@@ -597,13 +597,11 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
         actions = _shared_empty((n, n_steps, config.action_dim))
         blocks = [(actions[r0:r0 + ROW_BLOCK], features[r0:r0 + ROW_BLOCK])
                   for r0 in range(0, n, ROW_BLOCK)]
-        cells = _gate_weights(params.values, _gate_buffers(config))
-        gains = _gain_planes(params.values, _plane_buffers(config, _columns(min(n, ROW_BLOCK))))
         workers: list[tuple[int, Connection]] = []
         try:
             _fork_workers(blocks, _worker_count(len(blocks)), workers)
-            _run_blocks(workers, blocks, _forward_block,
-                        (config, params.values, cells, gains, mask), [()] * len(blocks))
+            _run_blocks(workers, blocks, _forward_block, (config, params.values, mask),
+                        [()] * len(blocks))
         finally:
             _stop_workers(workers)
         return RolloutResult(params=params, mask=mask, actions=actions, caches=[])
@@ -614,9 +612,7 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
     caches = workspace.caches(config, n_steps, n)
     starts = range(0, n, RECORD_BLOCK)
     try:
-        _run_blocks(workspace.workers, caches, _unroll_block,
-                    (params.values, _gate_weights(params.values, workspace.cells),
-                     _gain_planes(params.values, workspace.gains), mask),
+        _run_blocks(workspace.workers, caches, _unroll_block, (params.values, mask),
                     [(features[r0:r0 + RECORD_BLOCK],) for r0 in starts])
     except BaseException:
         if fresh:   # its caches are no one's now: stop their workers
@@ -631,18 +627,18 @@ def rollout(params: PolicyParams, features: np.ndarray, mask: np.ndarray,
                          workspace=workspace, generation=workspace.generation)
 
 
-def _gate_weights(values: dict[str, np.ndarray], cells: list[np.ndarray]) -> list[np.ndarray]:
-    """Each cell's gate weights written into ``cells``, the sigmoid gates'
-    rows halved (exactly), so one tanh covers all four gates."""
+def _gate_weights(values: dict[str, np.ndarray], cells: np.ndarray) -> None:
+    """Each cell's gate weights written into its (4H, 2H + 1) slot of
+    ``cells``, the sigmoid gates' rows halved (exactly), so one tanh covers
+    all four gates."""
     for b, cell in enumerate(cells):
         w = values[f"block{b}.lstm"]
         h_dim = w.shape[0] // 4
         np.multiply(w[:3 * h_dim], 0.5, out=cell[:3 * h_dim])
         cell[3 * h_dim:] = w[3 * h_dim:]
-    return cells
 
 
-def _gain_planes(values: dict[str, np.ndarray], planes: list[np.ndarray]) -> list[np.ndarray]:
+def _gain_planes(values: dict[str, np.ndarray], planes: np.ndarray) -> None:
     """Each RMSNorm gain copied across the columns of its (H, cols) plane in
     ``planes``: multiplying by a plane is bit for bit multiplying by the
     broadcast (H, 1) gain, without the full-size temporary numpy takes for
@@ -650,23 +646,20 @@ def _gain_planes(values: dict[str, np.ndarray], planes: list[np.ndarray]) -> lis
     2.4 us with a plane)."""
     for b, plane in enumerate(planes):
         plane[...] = values[f"block{b}.gain"].reshape(-1, 1)
-    return planes
 
 
 def _forward_block(block: tuple[np.ndarray, np.ndarray], config: PolicyConfig,
-                   values: dict[str, np.ndarray], cells: list[np.ndarray],
-                   gains: list[np.ndarray], mask: np.ndarray) -> None:
+                   values: dict[str, np.ndarray], mask: np.ndarray) -> None:
     """One forward-only row block, ``block`` its (rows, T, d) action rows
     and (rows, T, f) feature rows: :func:`_unroll_block` of the features
     through buffers of its own, the actions into the action rows."""
     out, features = block
     _unroll_block(_Caches.allocate(config, features.shape[1], features.shape[0], record=False),
-                  features, values, cells, gains, mask, out=out)
+                  features, values, mask, out=out)
 
 
 def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.ndarray],
-                  cells: list[np.ndarray], gains: list[np.ndarray], mask: np.ndarray,
-                  out: np.ndarray | None = None) -> None:
+                  mask: np.ndarray, out: np.ndarray | None = None) -> None:
     """One row block's forward arithmetic, fused and feature-major: its
     (rows, T, f) features in, recorded into ``cache`` when it has a slot
     per step, where step t's actions stay in slot t + 1 of ``x_in``, and
@@ -677,24 +670,26 @@ def _unroll_block(cache: _Caches, features: np.ndarray, values: dict[str, np.nda
     The block's columns are padded with zero features to whole groups of
     ``COLUMN_GROUP``, so a path's arithmetic does not depend on where it
     sits, nor on the block size. Each layer is one matrix product written
-    in place into its cache slot. The sigmoid gates use
+    in place into its cache slot. The block starts by building its
+    constants from ``values`` into ``cache``: the sigmoid gates use
     (tanh(z / 2) + 1) / 2 with the halving folded into ``cells``
     (:func:`_gate_weights`), and RMSNorm multiplies by the gain planes
-    (:func:`_gain_planes`), sliced to the block's columns. The block reads
-    only its arguments and writes only ``cache`` and ``out``, so it runs
-    alike in a worker or inline.
+    ``gains`` (:func:`_gain_planes`). The block reads only its arguments
+    and writes only ``cache`` and ``out``, so it runs alike in a worker or
+    inline.
     """
     rows, n_steps, n_feat = features.shape
-    h_dim, d, cols = cache.c.shape[2], cache.e.shape[1], cache.e.shape[2]
+    h_dim, d = cache.c.shape[2], cache.e.shape[1]
     record = cache.x_in.shape[0] > 1   # a forward-only cache has one time slot
-    gains = [plane[:, :cols] for plane in gains]
+    _gate_weights(values, cache.cells)
+    _gain_planes(values, cache.gains)
     for t in range(n_steps):
         now, nxt = (t, t + 1) if record else (0, 0)
         x_in = cache.x_in[now]
         x_in[:n_feat, :rows] = features[:, t].T
         xs = cache.res[0, :h_dim]
         np.matmul(values["embed"], x_in, out=xs)
-        for b, (w, gain) in enumerate(zip(cells, gains)):
+        for b, (w, gain) in enumerate(zip(cache.cells, cache.gains)):
             kb = b if record else 0
             aug, gates, r = cache.aug[b], cache.gates[now, kb], cache.r[now, kb]
             np.einsum("ij,ij->j", xs, xs, out=r)
@@ -751,22 +746,22 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
     cell and step.
 
     Each row block is swept by :func:`_sweep_block`, on the unroll's
-    workspace's worker processes and this one, as the forward ran them:
-    each sums its own weight gradients over the steps from zero and keeps
-    its own captures, and this process adds the blocks' sums in block
-    order, checks that the sums are finite, and joins the captures. So the
-    gradients depend on ``RECORD_BLOCK``, never on the CPU count, and a
-    one-block unroll's are its block's own.
+    workspace's worker processes and this one, as the forward ran them.
+    A command carries the parameters, the mask, ``capture`` and the
+    block's rows of ``du``; the block reads the gain planes its unroll
+    built into its caches. Each block sums its own weight gradients over
+    the steps from zero and keeps its own captures, and this process adds
+    the blocks' sums in block order, checks that the sums are finite, and
+    joins the captures. So the gradients depend on ``RECORD_BLOCK``, never
+    on the CPU count, and a one-block unroll's are its block's own.
     """
     caches = result.recorded()
     if du.shape != result.actions.shape:
         raise ValueError(f"seed shape {du.shape} != actions {result.actions.shape}")
     workers = result.workspace.workers if result.workspace is not None else []
-    values = result.params.values
-    gains = _gain_planes(values, _plane_buffers(result.params.config, caches[0].e.shape[-1]))
     seeds = [(part,) for part in np.split(du, np.cumsum([c.rows for c in caches])[:-1])]
-    blocks = _run_blocks(workers, caches, _sweep_block, (values, gains, result.mask, capture),
-                         seeds)
+    blocks = _run_blocks(workers, caches, _sweep_block,
+                         (result.params.values, result.mask, capture), seeds)
     grads = blocks[0][0]
     with np.errstate(over="ignore", invalid="ignore"):
         for block_grads, _ in blocks[1:]:
@@ -781,7 +776,7 @@ def reverse_sweep(result: RolloutResult, du: np.ndarray, capture: bool = False
 
 
 def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
-                 gains: list[np.ndarray], mask: np.ndarray, capture: bool
+                 mask: np.ndarray, capture: bool
                  ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray] | None]:
     """One row block's sweep, backward through time over its caches, column
     by column as the forward runs, so a path's pre-activation gradients do
@@ -789,8 +784,10 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
     gradients summed over the steps from zero out, with its (T, out, rows)
     captures when ``capture``.
 
-    What the caches do not keep it rebuilds into buffers of its own, a
-    fixed number per cell, with the forward's arithmetic: going back from
+    What the caches do not keep it rebuilds with the forward's
+    arithmetic, each cell's input into the caches' ``aug`` and the stream
+    into their ``res``, where the forward kept the same values, and
+    tanh(c) into a buffer of its own per cell: going back from
     step t, cell b's tanh(c[t + 1]) and h_t are at hand from the step
     after (the first from ``c[T]``), step t's stream is rebuilt from its
     cells' h_t, and once the cell is swept, tanh(c[t]) replaces tanh(c[t
@@ -801,7 +798,6 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
     n_blocks, h_dim, cols = cache.c.shape[1], cache.c.shape[2], cache.e.shape[2]
     n_feat = cache.x_in.shape[1] - d - 1
     lstm = [f"block{b}.lstm" for b in range(n_blocks)]
-    gains = [plane[:, :cols] for plane in gains]
     w_in = [np.ascontiguousarray(values[name][:, :2 * h_dim].T) for name in lstm]
     head_in = np.ascontiguousarray(values["head"][:, :h_dim].T)
     embed_u = np.ascontiguousarray(values["embed"][:, n_feat:n_feat + d].T)
@@ -815,8 +811,7 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
     d_aug = np.zeros((n_blocks, 2 * h_dim, cols))   # rows H: carry dL/dh_prev back
     d_c = np.zeros((n_blocks, h_dim, cols))          # dL/dc, carried back
     du_next = np.zeros((d, cols))                    # dL/du_prev, carried back
-    aug = np.empty((n_blocks, 2 * h_dim + 1, cols))  # each cell's input, rebuilt
-    aug[:, -1] = 1.0
+    aug = cache.aug   # each cell's input, rebuilt where the forward kept it
     h = aug[:, h_dim:2 * h_dim]   # each cell's h at the step, until the cell is swept
     tanh_c = np.empty((n_blocks, h_dim, cols))       # tanh of each cell's state after the step
     for b in range(n_blocks if n_steps else 0):      # the last step's, from c[T], if any
@@ -864,7 +859,7 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
                 xs, r = res[b, :h_dim], cache.r[t, b]
                 r_plane[...] = r   # a plane, not a broadcast row: no temporary
                 np.multiply(xs, r_plane, out=tmp)
-                np.multiply(tmp, gains[b], out=aug[b, :h_dim])
+                np.multiply(tmp, cache.gains[b], out=aug[b, :h_dim])
                 if t:
                     cache.cell_output(t - 1, b, tanh_cb, h[b])
                 else:
@@ -875,7 +870,7 @@ def _sweep_block(cache: _Caches, du: np.ndarray, values: dict[str, np.ndarray],
                 d_norm = d_aug[b, :h_dim]
                 tmp *= d_norm
                 gain_grads[b] += tmp[:, :rows].sum(axis=1)
-                d_norm *= gains[b]
+                d_norm *= cache.gains[b]
                 np.einsum("ij,ij->j", d_norm, xs, out=row)
                 row *= r ** 3 / h_dim
                 np.multiply(d_norm, r_plane, out=tmp)

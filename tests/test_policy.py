@@ -389,7 +389,7 @@ def test_a_reused_workspace_refuses_the_results_it_held():
 
 def test_a_reused_workspace_allocates_almost_nothing():
     # The default width and the desk's 63 steps: the gate weights go into
-    # the workspace's buffers too, so what a reused unroll allocates is its
+    # the caches' buffers too, so what a reused unroll allocates is its
     # actions plus one step's temporaries, the largest of them the (H, cols)
     # buffer, 32 KB here, that a broadcasting ufunc takes.
     config = pol.PolicyConfig(action_dim=3)
@@ -415,6 +415,7 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
     # Every buffer at exactly its field's size: the residual stream has one
     # slot per block, not one per step, and each cell's input and tanh(c)
     # one slot, the cell's last; the sweep rebuilds them where it reads them.
+    # The block's gate weights have no column axis; its gain planes do.
     rng = np.random.default_rng(20)
     params = pol.init_params(ORACLE, rng)
     n, n_steps = 13, 7
@@ -425,11 +426,12 @@ def test_a_recorded_unroll_keeps_no_residual_stream():
     per_column = {"x_in": (n_steps + 1) * (f + d + 1), "res": (b + 1) * (h + 1),
                   "r": n_steps * b, "aug": b * (2 * h + 1),
                   "gates": n_steps * b * 4 * h, "c": (n_steps + 1) * b * h,
-                  "tanh_c": h, "e": n_steps * d}
+                  "tanh_c": h, "e": n_steps * d, "gains": b * h}
     (cache,) = workspace._caches
     sizes = {fl.name: getattr(cache, fl.name).nbytes for fl in fields(cache) if fl.name != "rows"}
-    assert sizes == {name: 8 * k * 16 for name, k in per_column.items()}   # 13 paths, 16 columns
-    assert [w.shape for w in workspace.cells] == [(4 * h, 2 * h + 1)] * b
+    assert sizes == {"cells": 8 * b * 4 * h * (2 * h + 1),
+                     **{name: 8 * k * 16 for name, k in per_column.items()}}   # 16 columns
+    assert cache.cells.shape == (b, 4 * h, 2 * h + 1)
     # the head's inputs, rebuilt from the stream, are the tape's
     tape = tape_rollout(params, features, mask, capture=True)
     head_inputs = _stacked_inputs(result)["head"]
@@ -519,25 +521,38 @@ def _forks(monkeypatch):
     return forks
 
 
+def _arrays(value) -> list[np.ndarray]:
+    """Every array in ``value``, looking into dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
 def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
     """With ``cpus`` usable CPUs: forward-only actions; a recorded unroll's
     actions, sweep gradients and layer inputs, and its path ``column``
     swept alone; the workers the forward-only unroll forked, each reaped
     before it returned, and those the recorded unroll forked, which its
-    release stops. The forward-only call's block commands carry no array."""
+    release stops. The forward-only call's block commands carry no array,
+    and no call's shared arguments carry one but the parameters and the
+    mask: each block builds its gate weights and gain planes itself."""
     monkeypatch.setattr(pol, "_usable_cpus", lambda: cpus)
     forks = _forks(monkeypatch)
-    per_block = []
+    calls = []
     run_blocks = pol._run_blocks
 
-    def spied(workers, targets, fn, common, args):
-        per_block.extend(args)
-        return run_blocks(workers, targets, fn, common, args)
+    def spied(workers, targets, fn, common, per_block):
+        calls.append((fn, common, per_block))
+        return run_blocks(workers, targets, fn, common, per_block)
 
     monkeypatch.setattr(pol, "_run_blocks", spied)
     forward_only = pol.rollout(params, features, mask, record=False).actions
-    monkeypatch.setattr(pol, "_run_blocks", run_blocks)
     # each worker inherits its blocks' feature rows: no command carries an array
+    ((_, _, per_block),) = calls
     assert len(per_block) == -(-features.shape[0] // pol.ROW_BLOCK)
     assert not any(isinstance(a, np.ndarray) for args in per_block for a in args)
     (forward_workers,) = forks
@@ -545,6 +560,11 @@ def _unroll_on(monkeypatch, cpus, params, features, mask, s, column):
     recorded = pol.rollout(params, features, mask)
     workers = _worker_pids(recorded)
     grads, _ = pol.reverse_sweep(recorded, s)
+    monkeypatch.setattr(pol, "_run_blocks", run_blocks)
+    assert [fn for fn, _, _ in calls] == [pol._forward_block, pol._unroll_block,
+                                          pol._sweep_block]
+    shared = {id(mask), *map(id, params.values.values())}
+    assert all(id(a) in shared for _, common, _ in calls for a in _arrays(common))
     alone = _sweep(recorded.paths([column]), s[column:column + 1])
     got = (forward_only, recorded.actions, grads, _stacked_inputs(recorded)) + alone
     recorded.workspace.release()
